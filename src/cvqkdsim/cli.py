@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfg
-from .experiments import (BudgetError, SweepSpec, load_records, photon_scan,
-                          report, run_sweep, save_records, write_trace_csv)
+from .experiments import (BudgetError, load_records, report, run_sweep,
+                          save_records, write_trace_csv)
 from .keyrate import SkrInputs, secure_key_rate
 from .link import (assemble_budget, baseline_filters, estimate_parameters,
                    run_chain)
@@ -86,22 +85,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_photon_scan(args) -> int:
-    spec = cfg.load_sweep_spec(args.config)
-    spec = replace(spec, kind="photon-scan")
-    records = run_sweep(spec)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    save_records(records, f"{args.out_dir}/records.json")
-    paths = report(records, args.out_dir)
-    best = max(records, key=lambda r: r.outputs["skr_bits_per_symbol"])
-    print(json.dumps({
-        "argmax_n_photon": best.outputs["n_photon"],
-        "max_skr_bits_per_symbol": best.outputs["skr_bits_per_symbol"],
-        "files": [str(p) for p in paths],
-    }, indent=2))
-    return EXIT_OK
-
-
 def _cmd_defaults(_args) -> int:
     print(json.dumps(cfg.all_defaults(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -139,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="sweep-out")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("photon-scan", help="scan the key rate over mean photon number")
-    p.add_argument("--config", required=True, help="SweepSpec JSON file")
-    p.add_argument("--out-dir", default="scan-out")
-    p.set_defaults(func=_cmd_photon_scan)
 
     p = sub.add_parser("defaults", help="dump every configurable default as JSON")
     p.set_defaults(func=_cmd_defaults)

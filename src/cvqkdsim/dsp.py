@@ -37,13 +37,12 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class FirFilter:
-    """Real FIR tap vector with a free-form role label.
+    """Real FIR tap vector.
 
     When ``normalized`` is set the taps carry unit energy (sum of squares 1).
     """
 
     taps: np.ndarray
-    label: str = ""
     normalized: bool = False
 
     def __post_init__(self):
@@ -63,21 +62,19 @@ class FirFilter:
     def __len__(self) -> int:
         return len(self.taps)
 
-    def unit_energy(self, label: str | None = None) -> "FirFilter":
+    def unit_energy(self) -> "FirFilter":
         """Return a copy rescaled to unit energy."""
         norm = float(np.sqrt(np.sum(self.taps**2)))
         if norm <= 0:
             raise ValueError("cannot normalize an all-zero filter")
-        return FirFilter(self.taps / norm, label if label is not None else self.label,
-                         normalized=True)
+        return FirFilter(self.taps / norm, normalized=True)
 
 
 @dataclass(frozen=True)
 class ComplexSymbolBlock:
-    """A block of complex symbols with the per-symbol mean-square target."""
+    """A block of complex symbols."""
 
     symbols: np.ndarray
-    variance_target: float | None = None
 
     def __post_init__(self):
         symbols = np.asarray(self.symbols, dtype=complex)
@@ -105,7 +102,7 @@ def generate_symbols(count: int, mean_photon: float, seed: int) -> ComplexSymbol
     rng = np.random.default_rng(seed)
     scale = np.sqrt(mean_photon / 2.0)
     sym = rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
-    return ComplexSymbolBlock(sym, variance_target=float(mean_photon))
+    return ComplexSymbolBlock(sym)
 
 
 def upsample(block: ComplexSymbolBlock, sps: int) -> SampledSignal:
@@ -160,27 +157,25 @@ def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:
     den = np.pi * tr * (1.0 - (4.0 * rolloff * tr) ** 2)
     h[rest] = num / den
     h /= np.sqrt(np.sum(h**2))
-    return FirFilter(h, label="tx-shaper", normalized=True)
+    return FirFilter(h, normalized=True)
 
 
-def truncate_taps(fir: FirFilter, num_taps: int, label: str | None = None) -> FirFilter:
+def truncate_taps(fir: FirFilter, num_taps: int) -> FirFilter:
     """Keep the central ``num_taps`` taps and renormalize to unit energy."""
     if not 1 <= num_taps <= len(fir):
         raise ValueError(f"num_taps must be in [1, {len(fir)}], got {num_taps}")
     start = (len(fir) - num_taps) // 2
-    return FirFilter(fir.taps[start:start + num_taps]).unit_energy(
-        label if label is not None else fir.label)
+    return FirFilter(fir.taps[start:start + num_taps]).unit_energy()
 
 
-def truncated_rrc(num_taps: int, rolloff: float = 0.2, sps: int = 4,
-                  label: str = "") -> FirFilter:
+def truncated_rrc(num_taps: int, rolloff: float = 0.2, sps: int = 4) -> FirFilter:
     """Central ``num_taps``-tap truncation of a long RRC prototype.
 
     The prototype spans at least 250 symbols so that short truncations are
     cuts of one canonical filter rather than separately designed ones.
     """
     span = max(250, int(np.ceil(num_taps / sps)) + 2)
-    return truncate_taps(rrc_filter(rolloff, span, sps), num_taps, label=label)
+    return truncate_taps(rrc_filter(rolloff, span, sps), num_taps)
 
 
 def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
@@ -206,7 +201,7 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
     half = (num_taps - 1) // 2
     taps = h[grid // 2 - half: grid // 2 + half + 1]
     taps = taps / np.sum(taps)  # unit DC gain
-    return FirFilter(taps, label="lpf")
+    return FirFilter(taps)
 
 
 def frequency_response(fir: FirFilter, freqs_norm: np.ndarray, sps: int) -> np.ndarray:

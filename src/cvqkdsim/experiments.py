@@ -119,10 +119,8 @@ def _evaluate_point(env: LinkConfig, params: TransceiverParams,
     }
 
 
-def photon_scan(env: LinkConfig, grid: list[float],
-                params_for: "callable | None" = None,
-                h_tx=None, h_rx=None, beta: float = DEFAULT_BETA
-                ) -> tuple[dict, list[dict]]:
+def photon_scan(env: LinkConfig, grid: list[float], h_tx=None, h_rx=None,
+                beta: float = DEFAULT_BETA) -> tuple[dict, list[dict]]:
     """Evaluate the key rate over a photon-number grid with fixed filters.
 
     Returns the argmax record and the full curve. The grid must be sorted

@@ -47,7 +47,6 @@ class LinkConfig:
     rx_len: int = 101
     num_symbols: int = 100_000
     seed: int = 0
-    include_lpf_in_response: bool = True
 
     def __post_init__(self):
         if self.distance_km < 0:
@@ -194,12 +193,9 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     received = dsp.convolve(after_adc, h_rx)
     received_no_adc = dsp.convolve(attenuated, h_rx)
 
-    # physical response (LPF always in the signal path) sets the timing
-    physical = effective_response(h_tx, lpf, h_rx, sps)
-    reported = (physical if config.include_lpf_in_response
-                else effective_response(h_tx, None, h_rx, sps))
+    isi = effective_response(h_tx, lpf, h_rx, sps)
 
-    offset = physical.delay_index
+    offset = isi.delay_index
     rx = dsp.downsample(SampledSignal(received.samples[offset:], sps=sps),
                         sps, 0).symbols[:config.num_symbols]
     rx_ref = dsp.downsample(SampledSignal(received_no_adc.samples[offset:],
@@ -207,7 +203,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
                             sps, 0).symbols[:config.num_symbols]
     tx = block.symbols[:len(rx)]
 
-    margin = _trim_margin(len(physical.response), sps)
+    margin = _trim_margin(len(isi.response), sps)
     if len(rx) <= 2 * margin:
         raise ValueError(
             f"num_symbols={config.num_symbols} too small for the filter "
@@ -219,7 +215,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         noise_power=float(np.mean(np.abs(rx - rx_ref) ** 2)),
         clip_fraction=adc_clip)
     return ChainResult(tx_symbols=tx, rx_symbols=rx, dac_report=dac_report,
-                       adc_report=adc_report, isi=reported)
+                       adc_report=adc_report, isi=isi)
 
 
 def estimate_parameters(tx_symbols: np.ndarray,
@@ -263,6 +259,6 @@ def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,
 
 def baseline_filters(config: LinkConfig, rolloff: float = 0.2) -> tuple[FirFilter, FirFilter]:
     """Truncated-RRC transmitter/receiver pair at the configured lengths."""
-    h_tx = dsp.truncated_rrc(config.tx_len, rolloff, config.sps, label="tx-shaper")
-    h_rx = dsp.truncated_rrc(config.rx_len, rolloff, config.sps, label="rx-matched")
+    h_tx = dsp.truncated_rrc(config.tx_len, rolloff, config.sps)
+    h_rx = dsp.truncated_rrc(config.rx_len, rolloff, config.sps)
     return h_tx, h_rx

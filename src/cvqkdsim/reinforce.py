@@ -13,9 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dsp import FirFilter
-from .keyrate import DEFAULT_BETA, SkrInputs, devetak_winter_rate, secure_key_rate
-from .link import (ChainResult, IsiProfile, LinkConfig, assemble_budget,
-                   estimate_parameters, run_chain)
+from .keyrate import DEFAULT_BETA, SkrInputs, devetak_winter_rate
+from .link import LinkConfig, estimate_parameters, run_chain
+# unused here; perfbench/tracing.py patches both names in this module
+from .keyrate import secure_key_rate  # noqa: F401
+from .link import assemble_budget  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,10 @@ class GroupSigmas:
 class GroupRates:
     """Per-group learning rates.
 
-    With adaptive stepping (the default) these are normalized step scales:
-    the update magnitude is rate * sigma regardless of the reward scale,
-    which keeps the tap updates stable across operating points whose reward
-    sensitivity spans orders of magnitude. Without it they are plain
-    gradient-ascent rates on the raw score-function estimate.
+    These are normalized step scales: advantages are standardized by the
+    batch reward spread, so the update magnitude is rate * sigma regardless
+    of the reward scale, which keeps the tap updates stable across operating
+    points whose reward sensitivity spans orders of magnitude.
     """
 
     tx: float = 0.3
@@ -93,8 +94,8 @@ class PolicyState:
 
 def _decode(raw_tx: np.ndarray, raw_rx: np.ndarray, log_n: float) -> TransceiverParams:
     return TransceiverParams(
-        h_tx=FirFilter(raw_tx, label="tx-shaper").unit_energy(),
-        h_rx=FirFilter(raw_rx, label="rx-matched").unit_energy(),
+        h_tx=FirFilter(raw_tx).unit_energy(),
+        h_rx=FirFilter(raw_rx).unit_energy(),
         mean_photon=float(np.exp(log_n)),
     )
 
@@ -103,8 +104,7 @@ def _decode(raw_tx: np.ndarray, raw_rx: np.ndarray, log_n: float) -> Transceiver
 class Episode:
     """One sampled parameter vector with its evaluated reward.
 
-    ``isi`` summarizes the effective response the sampled filters produced,
-    i.e. the state the chain was left in by this action.
+    A failed chain run leaves ``params`` None and sets ``error``.
     """
 
     raw_tx: np.ndarray
@@ -113,7 +113,6 @@ class Episode:
     params: TransceiverParams | None
     reward: float
     seed: int
-    isi: IsiProfile | None = None
     error: str | None = None
 
 
@@ -128,10 +127,6 @@ class OptimizerConfig:
     baseline_decay: float = 0.9
     seed: int = 0
     beta: float = DEFAULT_BETA
-    clip_reward: bool = False  # True: reward is the 0-clipped SKR
-    use_estimated_params: bool = True  # False: analytic budget instead
-    common_random_numbers: bool = True  # share one chain seed per batch
-    adaptive_step: bool = True  # standardize advantages; step = rate * sigma
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -166,30 +161,19 @@ class OptimizeResult:
 
 
 def chain_reward(env: LinkConfig, params: TransceiverParams, chain_seed: int,
-                 beta: float = DEFAULT_BETA, clip_reward: bool = False,
-                 use_estimated_params: bool = True) -> tuple[float, ChainResult]:
+                 beta: float = DEFAULT_BETA) -> float:
     """Run the chain once and score the resulting operating point.
 
-    With estimated parameters the reward mirrors the measurement pipeline:
-    (tau_hat, n_ex_hat + n_ch) from the received data. The analytic path
-    uses the assembled budget instead.
+    The reward mirrors the measurement pipeline: the unclipped
+    Devetak-Winter rate at (tau_hat, n_ex_hat + n_ch) estimated from the
+    received data.
     """
-    env_run = replace(env, seed=chain_seed)
-    result = run_chain(env_run, params.h_tx, params.h_rx, params.mean_photon)
-    if use_estimated_params:
-        est = estimate_parameters(result.tx_symbols, result.rx_symbols)
-        tau = est.tau_hat
-        n_ex = est.n_ex_clipped + env.channel_excess_photons
-    else:
-        budget = assemble_budget(env_run, result.isi, params.mean_photon,
-                                 result.dac_report, result.adc_report)
-        tau = budget.transmittance
-        n_ex = budget.total
-    inputs = SkrInputs(mean_photon=params.mean_photon,
-                       transmittance=min(tau, 1.0),
-                       excess_photons=n_ex, beta=beta)
-    value = secure_key_rate(inputs) if clip_reward else devetak_winter_rate(inputs)
-    return value, result
+    result = run_chain(replace(env, seed=chain_seed), params.h_tx, params.h_rx,
+                       params.mean_photon)
+    est = estimate_parameters(result.tx_symbols, result.rx_symbols)
+    return devetak_winter_rate(SkrInputs(
+        mean_photon=params.mean_photon, transmittance=min(est.tau_hat, 1.0),
+        excess_photons=est.n_ex_clipped + env.channel_excess_photons, beta=beta))
 
 
 def _episode_seeds(master_seed: int, iteration: int, index: int) -> tuple[int, int]:
@@ -210,10 +194,10 @@ def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
 
     ``episode_seed`` drives the parameter perturbation; the chain keeps the
     environment's own seed unless ``chain_seed`` overrides it (the optimizer
-    loop passes derived seeds: per-iteration when sharing random numbers
-    across a batch, per-episode otherwise). Chain failures are converted to
-    zero-reward episodes with an error flag so that a non-physical sample
-    cannot abort the optimizer.
+    loop passes one derived seed shared by the whole batch). Chain failures
+    become episodes with an error flag, so that a non-physical sample cannot
+    abort the optimizer; ``reinforce_update`` ranks them below every valid
+    episode of their batch.
     """
     rng = np.random.default_rng(episode_seed)
     raw_tx = policy.theta_tx + policy.sigma.tx * rng.standard_normal(len(policy.theta_tx))
@@ -223,12 +207,9 @@ def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
         chain_seed = env.seed
     try:
         params = _decode(raw_tx, raw_rx, raw_log_n)
-        reward, result = chain_reward(env, params, chain_seed, beta=config.beta,
-                                      clip_reward=config.clip_reward,
-                                      use_estimated_params=config.use_estimated_params)
+        reward = chain_reward(env, params, chain_seed, beta=config.beta)
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
-                       params=params, reward=reward, seed=episode_seed,
-                       isi=result.isi)
+                       params=params, reward=reward, seed=episode_seed)
     except (ValueError, ArithmeticError) as exc:
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
                        params=None, reward=0.0, seed=episode_seed, error=str(exc))
@@ -257,25 +238,29 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
     """Score-function update of the policy mean from one episode batch.
 
     Each group takes its own step, the filter groups are renormalized to
-    unit energy, the baseline moves by EMA, and the sigmas decay. With
-    adaptive stepping the advantages are standardized by the batch reward
-    spread, which makes the step size rate * sigma in parameter units (an
-    equal-reward batch still produces a zero step, and shifting every
-    reward by a constant still cancels).
+    unit energy, the baseline moves by EMA, and the sigmas decay. The
+    advantages are standardized by the batch reward spread, which makes the
+    step size rate * sigma in parameter units (an equal-reward batch
+    produces a zero step, and shifting every reward by a constant cancels).
+    A failed episode takes the lowest valid reward of its batch, since
+    valid rewards may be negative; a batch with no valid episode takes a
+    zero step.
     """
     if len(batch) != config.batch_size:
         raise ValueError(f"expected a batch of {config.batch_size}, got {len(batch)}")
+    sigma = policy.sigma.decayed(config.sigma_decay, config.sigma_floor)
     rewards = np.array([ep.reward for ep in batch])
+    failed = np.array([ep.error is not None for ep in batch])
+    if failed.all():
+        return replace(policy, sigma=sigma)
+    rewards[failed] = rewards[~failed].min()
     baseline = float(rewards.mean()) if policy.baseline is None else policy.baseline
 
-    if config.adaptive_step:
-        spread = float(rewards.std())
-        scale = {"tx": policy.sigma.tx**2 / spread,
-                 "rx": policy.sigma.rx**2 / spread,
-                 "n": policy.sigma.n**2 / spread} if spread > 0 else \
-                {"tx": 0.0, "rx": 0.0, "n": 0.0}
-    else:
-        scale = {"tx": 1.0, "rx": 1.0, "n": 1.0}
+    spread = float(rewards.std())
+    scale = {"tx": policy.sigma.tx**2 / spread,
+             "rx": policy.sigma.rx**2 / spread,
+             "n": policy.sigma.n**2 / spread} if spread > 0 else \
+            {"tx": 0.0, "rx": 0.0, "n": 0.0}
 
     theta_tx = score_function_step(
         policy.theta_tx, np.stack([ep.raw_tx for ep in batch]), rewards,
@@ -301,9 +286,7 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
             best_params, best_reward = ep.params, ep.reward
 
     return PolicyState(theta_tx=theta_tx, theta_rx=theta_rx,
-                       theta_log_n=theta_log_n,
-                       sigma=policy.sigma.decayed(config.sigma_decay,
-                                                  config.sigma_floor),
+                       theta_log_n=theta_log_n, sigma=sigma,
                        baseline=new_baseline,
                        best_params=best_params, best_reward=best_reward)
 
@@ -314,7 +297,7 @@ def _episode_task(args) -> Episode:
 
 
 def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
-             progress_sink=None, workers: int = 1) -> OptimizeResult:
+             workers: int = 1) -> OptimizeResult:
     """Run the full REINFORCE loop and return the best-so-far parameters.
 
     The initial policy mean is evaluated first, so with iterations = 0 the
@@ -324,10 +307,8 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
     """
     init_params = init.decode()
     _, init_chain_seed = _episode_seeds(config.seed, 0, 0)
-    init_reward, _ = chain_reward(env, init_params, init_chain_seed,
-                                  beta=config.beta,
-                                  clip_reward=config.clip_reward,
-                                  use_estimated_params=config.use_estimated_params)
+    init_reward = chain_reward(env, init_params, init_chain_seed,
+                               beta=config.beta)
     policy = replace(init, best_params=init_params, best_reward=init_reward)
 
     trace: list[TraceRow] = []
@@ -336,26 +317,22 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
         for iteration in range(1, config.iterations + 1):
             seeds = [_episode_seeds(config.seed, iteration, idx)
                      for idx in range(config.batch_size)]
-            if config.common_random_numbers:
-                # one symbol realization per batch: the shared estimation
-                # noise cancels against the batch-mean baseline instead of
-                # driving a random walk of the high-dimensional tap groups
-                shared = seeds[0][1]
-                seeds = [(ep, shared) for ep, _ in seeds]
-            tasks = [(policy, env, ep, ch, config) for ep, ch in seeds]
+            # one symbol realization per batch: the shared estimation
+            # noise cancels against the batch-mean baseline instead of
+            # driving a random walk of the high-dimensional tap groups
+            shared = seeds[0][1]
+            tasks = [(policy, env, ep, shared, config) for ep, _ in seeds]
             if pool is not None:
                 batch = list(pool.map(_episode_task, tasks))
             else:
                 batch = [_episode_task(t) for t in tasks]
             policy = reinforce_update(policy, batch, config)
-            row = TraceRow(iteration=iteration,
-                           mean_reward=float(np.mean([ep.reward for ep in batch])),
-                           best_reward=policy.best_reward,
-                           sigma_tx=policy.sigma.tx, sigma_rx=policy.sigma.rx,
-                           sigma_n=policy.sigma.n)
-            trace.append(row)
-            if progress_sink is not None:
-                progress_sink(row)
+            trace.append(TraceRow(
+                iteration=iteration,
+                mean_reward=float(np.mean([ep.reward for ep in batch])),
+                best_reward=policy.best_reward,
+                sigma_tx=policy.sigma.tx, sigma_rx=policy.sigma.rx,
+                sigma_n=policy.sigma.n))
     finally:
         if pool is not None:
             pool.shutdown()

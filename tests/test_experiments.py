@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep,
                                   save_records, load_records)
-from cvqkdsim.link import LinkConfig, baseline_filters
+from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec
-from cvqkdsim.reinforce import GroupSigmas, OptimizerConfig
+from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
 
 
 def _tiny_env(**overrides):
@@ -195,6 +196,13 @@ class TestConfigLoading:
         assert defaults["sweep"]["reference"] == {"ref_taps": 1001,
                                                   "ref_bits": 16}
 
+    @pytest.mark.parametrize("default", [
+        LinkConfig(), LpfConfig(), QuantizerSpec(bits=10), OptimizerConfig(),
+        GroupSigmas(), GroupRates(), SweepSpec(), ReferencePoint()],
+        ids=lambda d: type(d).__name__)
+    def test_default_round_trips_through_dict(self, default):
+        assert dataclass_from_dict(type(default), asdict(default)) == default
+
     def test_sweep_spec_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
@@ -226,6 +234,17 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"distance_km": 20.0, "unknown_field": 1}))
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("section,key", [
+        ("optimizer", "clip_reward"), ("optimizer", "use_estimated_params"),
+        ("optimizer", "common_random_numbers"), ("optimizer", "adaptive_step"),
+        ("env", "include_lpf_in_response")])
+    def test_removed_key_is_config_error(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({section: {key: True}}))
+        assert cli.main(["optimize", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

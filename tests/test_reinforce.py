@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,43 @@ class TestReinforceUpdate:
         cfg = OptimizerConfig(batch_size=8, iterations=1)
         with pytest.raises(ValueError):
             reinforce_update(policy, self._batch(policy, [1.0, 2.0]), cfg)
+
+    @staticmethod
+    def _at_log_n(policy, log_n, reward, error=None):
+        return Episode(raw_tx=policy.theta_tx, raw_rx=policy.theta_rx,
+                       raw_log_n=log_n, params=None, reward=reward, seed=0,
+                       error=error)
+
+    def test_failed_episodes_rank_below_negative_rewards(self):
+        # lossy links give negative valid rewards; a failure (reward 0.0)
+        # must not pull the photon number toward where the chain failed.
+        # The valid pairs sit symmetrically, so only the failures steer.
+        env = _small_env()
+        policy = _policy(env)
+        cfg = OptimizerConfig(batch_size=6, iterations=1)
+        n0, d = policy.theta_log_n, policy.sigma.n
+        batch = [self._at_log_n(policy, n0 + d, -0.3),
+                 self._at_log_n(policy, n0 - d, -0.3),
+                 self._at_log_n(policy, n0 + d, -0.1),
+                 self._at_log_n(policy, n0 - d, -0.1),
+                 self._at_log_n(policy, n0 + 2 * d, 0.0, error="non-physical"),
+                 self._at_log_n(policy, n0 + 2 * d, 0.0, error="non-physical")]
+        updated = reinforce_update(policy, batch, cfg)
+        assert updated.theta_log_n < n0
+
+    def test_all_failed_batch_takes_zero_step(self):
+        env = _small_env()
+        policy = replace(_policy(env), baseline=-0.2)
+        cfg = OptimizerConfig(batch_size=4, iterations=1)
+        batch = [self._at_log_n(policy, policy.theta_log_n + 0.1 * i, 0.0,
+                                error="non-physical") for i in range(4)]
+        updated = reinforce_update(policy, batch, cfg)
+        np.testing.assert_array_equal(updated.theta_tx, policy.theta_tx)
+        np.testing.assert_array_equal(updated.theta_rx, policy.theta_rx)
+        assert updated.theta_log_n == policy.theta_log_n
+        assert updated.baseline == policy.baseline
+        assert updated.sigma == policy.sigma.decayed(cfg.sigma_decay,
+                                                     cfg.sigma_floor)
 
     def test_sigma_decays_with_floor(self):
         env = _small_env()
