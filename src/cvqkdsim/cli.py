@@ -14,7 +14,7 @@ from pathlib import Path
 from . import config as cfg
 from .experiments import (BudgetError, load_records, report, run_sweep,
                           save_records, write_trace_csv)
-from .keyrate import SkrInputs, secure_key_rate
+from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
 from .link import (assemble_budget, baseline_filters, estimate_parameters,
                    run_chain)
 from .reinforce import PolicyState, TransceiverParams, optimize
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one chain and print budget + SKR")
     p.add_argument("--config", required=True, help="LinkConfig JSON file")
     p.add_argument("--mean-photon", type=float, default=6.0)
-    p.add_argument("--beta", type=float, default=0.90)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--rolloff", type=float, default=0.2)
     p.set_defaults(func=_cmd_simulate)
 

@@ -2,8 +2,8 @@
 
 Amplitudes are carried in root-photon units throughout: the mean square
 |x|^2 of a transmitted complex symbol equals its mean photon number.
-Complex signals are processed as two independent real rails through
-real-tapped filters.
+Signals and symbol blocks are plain numpy arrays; complex signals are
+processed as two independent real rails through real-tapped filters.
 """
 
 from __future__ import annotations
@@ -12,27 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as _sig
-
-
-@dataclass(frozen=True)
-class SampledSignal:
-    """A discrete-time signal together with its samples-per-symbol rate."""
-
-    samples: np.ndarray
-    sps: int = 4
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if not np.iscomplexobj(samples):
-            samples = samples.astype(float, copy=False)
-        object.__setattr__(self, "samples", samples)
-        if self.sps < 1:
-            raise ValueError(f"sps must be >= 1, got {self.sps}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise ValueError("signal contains non-finite samples")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -70,26 +49,7 @@ class FirFilter:
         return FirFilter(self.taps / norm, normalized=True)
 
 
-@dataclass(frozen=True)
-class ComplexSymbolBlock:
-    """A block of complex symbols."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=complex)
-        object.__setattr__(self, "symbols", symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def mean_power(self) -> float:
-        """Empirical mean |x|^2 of the block."""
-        return float(np.mean(np.abs(self.symbols) ** 2))
-
-
-def generate_symbols(count: int, mean_photon: float, seed: int) -> ComplexSymbolBlock:
+def generate_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
     """Draw i.i.d. circularly-symmetric complex Gaussian symbols.
 
     Each real quadrature has variance ``mean_photon / 2`` so that
@@ -97,36 +57,34 @@ def generate_symbols(count: int, mean_photon: float, seed: int) -> ComplexSymbol
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if mean_photon <= 0:
+    if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(mean_photon / 2.0)
-    sym = rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
-    return ComplexSymbolBlock(sym)
+    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
 
 
-def upsample(block: ComplexSymbolBlock, sps: int) -> SampledSignal:
-    """Zero-stuff a symbol block to ``sps`` samples per symbol."""
+def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
+    """Zero-stuff a symbol array to ``sps`` samples per symbol."""
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
-    out = np.zeros(len(block) * sps, dtype=complex)
-    out[::sps] = block.symbols
-    return SampledSignal(out, sps=sps)
+    out = np.zeros(len(symbols) * sps, dtype=complex)
+    out[::sps] = symbols
+    return out
 
 
-def convolve(sig: SampledSignal, fir: FirFilter) -> SampledSignal:
+def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Full linear convolution of a signal with an FIR filter."""
     if len(sig) == 0:
-        return SampledSignal(np.zeros(0, dtype=complex), sps=sig.sps)
-    out = _sig.convolve(sig.samples, fir.taps, mode="full", method="auto")
-    return SampledSignal(out, sps=sig.sps)
+        return np.zeros(0, dtype=complex)
+    return _sig.convolve(sig, fir.taps, mode="full", method="auto")
 
 
-def downsample(sig: SampledSignal, sps: int, phase: int = 0) -> ComplexSymbolBlock:
-    """Pick every ``sps``-th sample starting at ``phase``."""
+def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
+    """Pick every ``sps``-th sample starting at ``phase`` (a view, not a copy)."""
     if not 0 <= phase < sps:
         raise ValueError(f"phase must be in [0, sps), got phase={phase} sps={sps}")
-    return ComplexSymbolBlock(np.asarray(sig.samples)[phase::sps])
+    return sig[phase::sps]
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

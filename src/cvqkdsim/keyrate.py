@@ -30,11 +30,11 @@ class SkrInputs:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if self.mean_photon <= 0:
+        if not self.mean_photon > 0:
             raise ValueError(f"mean_photon must be positive, got {self.mean_photon}")
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError(f"transmittance must be in (0, 1], got {self.transmittance}")
-        if self.excess_photons < 0:
+        if not self.excess_photons >= 0:
             raise ValueError(f"excess_photons must be >= 0, got {self.excess_photons}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .dsp import FirFilter, SampledSignal
+from .dsp import FirFilter
 from .quantization import (QuantizationReport, QuantizerSpec, clip_fraction,
                            full_scale, measure_noise, quantize)
 
@@ -49,9 +49,9 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.distance_km < 0:
+        if not self.distance_km >= 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
-        if self.channel_excess_photons < 0:
+        if not self.channel_excess_photons >= 0:
             raise ValueError("channel_excess_photons must be >= 0")
         if self.tx_len < 1 or self.rx_len < 1:
             raise ValueError("filter lengths must be >= 1")
@@ -135,20 +135,12 @@ def effective_response(h_tx: FirFilter, lpf: FirFilter | None,
     if lpf is not None:
         z = np.convolve(z, lpf.taps)
     delay = int(np.argmax(np.abs(z)))
-    j_max = int(np.ceil(len(z) / sps))
-    coeff: dict[int, float] = {}
-    for j in range(-j_max, j_max + 1):
-        idx = delay + j * sps
-        if 0 <= idx < len(z):
-            coeff[j] = float(z[idx])
+    first = -(delay // sps)  # j of the earliest symbol-spaced tap
+    coeff = {first + k: float(v) for k, v in enumerate(z[delay % sps::sps])}
     c0_sq = coeff[0] ** 2
     isi_sum = float(sum(v * v for j, v in coeff.items() if j != 0))
     return IsiProfile(response=z, delay_index=delay, coefficients=coeff,
                       c0_sq=c0_sq, isi_sum=isi_sum)
-
-
-def _trim_margin(response_len: int, sps: int) -> int:
-    return int(np.ceil(response_len / sps))
 
 
 def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
@@ -161,14 +153,15 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
     symbol plane. Edge symbols inside the filter transient are trimmed.
+    Non-finite received symbols raise ``ValueError``.
     """
-    if mean_photon <= 0:
+    if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
     sps = config.sps
     lpf = config.lpf_filter()
 
-    block = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
-    shaped = dsp.convolve(dsp.upsample(block, sps), h_tx)
+    symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
+    shaped = dsp.convolve(dsp.upsample(symbols, sps), h_tx)
 
     if config.dac is not None:
         dac_scale = full_scale(shaped, config.dac)
@@ -179,8 +172,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         dac_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
 
     analog = dsp.convolve(after_dac, lpf)
-    attenuated = SampledSignal(np.sqrt(config.channel_transmittance) * analog.samples,
-                               sps=sps)
+    attenuated = np.sqrt(config.channel_transmittance) * analog
 
     if config.adc is not None:
         adc_scale = full_scale(attenuated, config.adc)
@@ -196,14 +188,13 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     isi = effective_response(h_tx, lpf, h_rx, sps)
 
     offset = isi.delay_index
-    rx = dsp.downsample(SampledSignal(received.samples[offset:], sps=sps),
-                        sps, 0).symbols[:config.num_symbols]
-    rx_ref = dsp.downsample(SampledSignal(received_no_adc.samples[offset:],
-                                          sps=sps),
-                            sps, 0).symbols[:config.num_symbols]
-    tx = block.symbols[:len(rx)]
+    rx = dsp.downsample(received[offset:], sps, 0)[:config.num_symbols]
+    rx_ref = dsp.downsample(received_no_adc[offset:], sps, 0)[:config.num_symbols]
+    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rx_ref))):
+        raise ValueError("chain output contains non-finite samples")
+    tx = symbols[:len(rx)]
 
-    margin = _trim_margin(len(isi.response), sps)
+    margin = int(np.ceil(len(isi.response) / sps))
     if len(rx) <= 2 * margin:
         raise ValueError(
             f"num_symbols={config.num_symbols} too small for the filter "

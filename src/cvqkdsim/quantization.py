@@ -1,8 +1,9 @@
 """Mid-rise uniform quantizer models for b-bit DAC/ADC stages.
 
-The full-scale amplitude is loaded from the signal itself, A = kappa * sigma
-with sigma the pooled RMS of the real rails, and can be frozen once per run
-so that reference and quantized paths share the same grid.
+Signals are plain numpy arrays, real or complex. The full-scale amplitude
+is loaded from the signal itself, A = kappa * sigma with sigma the pooled
+RMS of the real rails, and can be frozen once per run so that reference and
+quantized paths share the same grid.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dsp import SampledSignal
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.clipping_factor <= 0:
+        if not self.clipping_factor > 0:
             raise ValueError(f"clipping_factor must be positive, got {self.clipping_factor}")
 
     def step(self, full_scale: float) -> float:
@@ -57,17 +56,17 @@ def _rails(samples: np.ndarray) -> np.ndarray:
     return np.asarray(samples, dtype=float)
 
 
-def full_scale(sig: SampledSignal, spec: QuantizerSpec) -> float:
+def full_scale(sig: np.ndarray, spec: QuantizerSpec) -> float:
     """Full-scale amplitude A = kappa * (pooled per-rail RMS of the signal)."""
-    rails = _rails(sig.samples)
+    rails = _rails(sig)
     rms = float(np.sqrt(np.mean(rails**2)))
     if rms <= 0.0:
         raise ValueError("cannot load a quantizer from a zero-RMS signal")
     return spec.clipping_factor * rms
 
 
-def quantize(sig: SampledSignal, spec: QuantizerSpec,
-             frozen_full_scale: float | None = None) -> SampledSignal:
+def quantize(sig: np.ndarray, spec: QuantizerSpec,
+             frozen_full_scale: float | None = None) -> np.ndarray:
     """Clip each rail to [-A, A] and map to the nearest mid-rise level.
 
     Reconstruction levels are +/-(k + 1/2) * Delta for k = 0 .. 2^(b-1) - 1.
@@ -87,21 +86,18 @@ def quantize(sig: SampledSignal, spec: QuantizerSpec,
         idx = np.clip(idx, -half_levels, half_levels - 1)
         return (idx + 0.5) * delta
 
-    s = sig.samples
-    if np.iscomplexobj(s):
-        out = one_rail(s.real) + 1j * one_rail(s.imag)
-    else:
-        out = one_rail(np.asarray(s, dtype=float))
-    return SampledSignal(out, sps=sig.sps)
+    if np.iscomplexobj(sig):
+        return one_rail(sig.real) + 1j * one_rail(sig.imag)
+    return one_rail(np.asarray(sig, dtype=float))
 
 
-def clip_fraction(sig: SampledSignal, full_scale_amplitude: float) -> float:
+def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:
     """Fraction of rail samples at or beyond the full-scale amplitude."""
-    rails = _rails(sig.samples)
+    rails = _rails(sig)
     return float(np.mean(np.abs(rails) >= full_scale_amplitude))
 
 
-def measure_noise(quantized: SampledSignal, reference: SampledSignal,
+def measure_noise(quantized: np.ndarray, reference: np.ndarray,
                   frozen_full_scale: float | None = None) -> QuantizationReport:
     """Mean-square error of ``quantized`` against ``reference``.
 
@@ -112,8 +108,7 @@ def measure_noise(quantized: SampledSignal, reference: SampledSignal,
     if len(quantized) != len(reference):
         raise ValueError(
             f"length mismatch: {len(quantized)} vs {len(reference)}")
-    diff = np.asarray(quantized.samples) - np.asarray(reference.samples)
-    noise = float(np.mean(np.abs(diff) ** 2))
+    noise = float(np.mean(np.abs(quantized - reference) ** 2))
     frac = (clip_fraction(reference, frozen_full_scale)
             if frozen_full_scale is not None else 0.0)
     return QuantizationReport(noise_power=noise, clip_fraction=frac)

@@ -58,13 +58,12 @@ def test_criterion_2_lossless_sanity():
 
 def test_criterion_3_quantization_oracle():
     rng = np.random.default_rng(7)
-    from cvqkdsim.dsp import SampledSignal
-    sig = SampledSignal(rng.normal(0.0, 1.7, 1_000_000))
+    sig = rng.normal(0.0, 1.7, 1_000_000)
     spec = QuantizerSpec(bits=10, clipping_factor=4.0)
     scale = full_scale(sig, spec)
     out = quantize(sig, spec, scale)
-    mask = np.abs(sig.samples) < scale
-    measured = float(np.mean((out.samples - sig.samples)[mask] ** 2))
+    mask = np.abs(sig) < scale
+    measured = float(np.mean((out - sig)[mask] ** 2))
     predicted = spec.step(scale) ** 2 / 12.0
     ok = abs(measured / predicted - 1.0) < 0.10
     assert _verdict("3 quantization oracle", ok,

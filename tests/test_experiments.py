@@ -235,6 +235,14 @@ class TestCli:
         cfg.write_text(json.dumps({"distance_km": 20.0, "unknown_field": 1}))
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key", ["channel_excess_photons", "distance_km"])
+    def test_nan_config_value_is_config_error(self, tmp_path, capsys, key):
+        # json accepts NaN; the range checks must reject it
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({key: float("nan"), "num_symbols": 3000,
+                                   "tx_len": 11, "rx_len": 21}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+
     @pytest.mark.parametrize("section,key", [
         ("optimizer", "clip_reward"), ("optimizer", "use_estimated_params"),
         ("optimizer", "common_random_numbers"), ("optimizer", "adaptive_step"),

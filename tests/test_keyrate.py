@@ -129,6 +129,12 @@ class TestMutualInformation:
 
 
 class TestSecureKeyRate:
+    def test_rejects_nan_inputs(self):
+        with pytest.raises(ValueError, match="excess_photons"):
+            SkrInputs(6.0, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="mean_photon"):
+            SkrInputs(float("nan"), 0.5, 0.0)
+
     def test_lossless_noiseless_rate(self):
         rate = secure_key_rate(SkrInputs(6.0, 1.0, 0.0, beta=1.0))
         assert rate == pytest.approx(np.log2(7.0), abs=1e-9)

@@ -103,6 +103,21 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(cfg, h_tx, h_rx, 0.0)
 
+    def test_rejects_nan_mean_photon(self):
+        cfg = LinkConfig(num_symbols=5_000)
+        h_tx, h_rx = baseline_filters(cfg)
+        with pytest.raises(ValueError, match="mean_photon"):
+            run_chain(cfg, h_tx, h_rx, float("nan"))
+
+    @pytest.mark.parametrize("bypass", [{}, {"dac": None, "adc": None}],
+                             ids=["converters", "no_converters"])
+    def test_rejects_nonfinite_output(self, bypass):
+        # the chain's one finite check, at its output
+        cfg = LinkConfig(num_symbols=5_000, tx_len=11, rx_len=41, **bypass)
+        h_tx, h_rx = baseline_filters(cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_chain(cfg, h_tx, h_rx, np.inf)
+
     def test_rejects_short_blocks(self):
         cfg = LinkConfig(num_symbols=50, tx_len=11, rx_len=101)
         h_tx, h_rx = baseline_filters(cfg)

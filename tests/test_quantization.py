@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cvqkdsim.dsp import SampledSignal
 from cvqkdsim.quantization import (QuantizationReport, QuantizerSpec,
                                    clip_fraction, full_scale, measure_noise,
                                    quantize)
@@ -11,23 +10,23 @@ def _gaussian_rail(n, sigma=1.0, seed=0, complex_signal=False):
     rng = np.random.default_rng(seed)
     if complex_signal:
         scale = sigma / np.sqrt(2)
-        return SampledSignal(rng.normal(0, scale, n) + 1j * rng.normal(0, scale, n))
-    return SampledSignal(rng.normal(0, sigma, n))
+        return rng.normal(0, scale, n) + 1j * rng.normal(0, scale, n)
+    return rng.normal(0, sigma, n)
 
 
 class TestQuantize:
     def test_one_bit_positive_level(self):
-        sig = SampledSignal(np.full(8, 0.5))
+        sig = np.full(8, 0.5)
         out = quantize(sig, QuantizerSpec(bits=1), frozen_full_scale=1.0)
-        np.testing.assert_allclose(out.samples, 0.5)  # = Delta/2 with Delta = 1
+        np.testing.assert_allclose(out, 0.5)  # = Delta/2 with Delta = 1
 
     def test_unclipped_error_bound(self):
         spec = QuantizerSpec(bits=16, clipping_factor=4.0)
         sig = _gaussian_rail(100_000, seed=1)
         a = full_scale(sig, spec)
         out = quantize(sig, spec, a)
-        unclipped = np.abs(sig.samples) < a
-        errors = np.abs(out.samples - sig.samples)[unclipped]
+        unclipped = np.abs(sig) < a
+        errors = np.abs(out - sig)[unclipped]
         assert errors.max() <= spec.step(a) / 2 + 1e-15
 
     def test_granular_noise_matches_uniform_model(self):
@@ -37,8 +36,8 @@ class TestQuantize:
         sig = _gaussian_rail(1_000_000, sigma=1.3, seed=2)
         a = full_scale(sig, spec)
         out = quantize(sig, spec, a)
-        mask = np.abs(sig.samples) < a
-        measured = np.mean((out.samples - sig.samples)[mask] ** 2)
+        mask = np.abs(sig) < a
+        measured = np.mean((out - sig)[mask] ** 2)
         assert measured == pytest.approx(spec.step(a) ** 2 / 12, rel=0.10)
 
     def test_idempotent_with_frozen_scale(self):
@@ -47,28 +46,32 @@ class TestQuantize:
         a = full_scale(sig, spec)
         once = quantize(sig, spec, a)
         twice = quantize(once, spec, a)
-        np.testing.assert_array_equal(once.samples, twice.samples)
+        np.testing.assert_array_equal(once, twice)
 
     def test_complex_rails_quantized_independently(self):
-        sig = SampledSignal(np.array([0.3 + 0.7j, -0.2 - 0.6j]))
+        sig = np.array([0.3 + 0.7j, -0.2 - 0.6j])
         out = quantize(sig, QuantizerSpec(bits=8), frozen_full_scale=1.0)
-        ref_re = quantize(SampledSignal(sig.samples.real),
-                          QuantizerSpec(bits=8), frozen_full_scale=1.0)
-        np.testing.assert_array_equal(out.samples.real, ref_re.samples)
+        ref_re = quantize(sig.real, QuantizerSpec(bits=8), frozen_full_scale=1.0)
+        np.testing.assert_array_equal(out.real, ref_re)
 
     def test_rejects_zero_rms(self):
         with pytest.raises(ValueError):
-            quantize(SampledSignal(np.zeros(16)), QuantizerSpec(bits=8))
+            quantize(np.zeros(16), QuantizerSpec(bits=8))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            quantize(SampledSignal(np.zeros(0)), QuantizerSpec(bits=8))
+            quantize(np.zeros(0), QuantizerSpec(bits=8))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuantizerSpec(bits=0)
         with pytest.raises(ValueError):
             QuantizerSpec(bits=8, clipping_factor=0.0)
+
+
+    def test_spec_rejects_nan_clipping_factor(self):
+        with pytest.raises(ValueError, match="clipping_factor"):
+            QuantizerSpec(bits=8, clipping_factor=float("nan"))
 
 
 class TestMeasureNoise:
@@ -78,7 +81,7 @@ class TestMeasureNoise:
 
     def test_constant_offset(self):
         sig = _gaussian_rail(1000, seed=5, complex_signal=True)
-        shifted = SampledSignal(sig.samples + (0.3 + 0.4j))
+        shifted = sig + (0.3 + 0.4j)
         report = measure_noise(shifted, sig)
         assert report.noise_power == pytest.approx(0.25, abs=1e-12)
 
@@ -88,17 +91,15 @@ class TestMeasureNoise:
         sig = _gaussian_rail(1_000_000, sigma=2.0, seed=6, complex_signal=True)
         a = full_scale(sig, spec)
         out = quantize(sig, spec, a)
-        mask = (np.abs(sig.samples.real) < a) & (np.abs(sig.samples.imag) < a)
-        report = measure_noise(SampledSignal(out.samples[mask]),
-                               SampledSignal(sig.samples[mask]), a)
+        mask = (np.abs(sig.real) < a) & (np.abs(sig.imag) < a)
+        report = measure_noise(out[mask], sig[mask], a)
         assert report.noise_power == pytest.approx(2 * spec.step(a) ** 2 / 12,
                                                    rel=0.10)
         assert report.clip_fraction < 1e-4
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            measure_noise(SampledSignal(np.zeros(3) + 1.0),
-                          SampledSignal(np.zeros(4) + 1.0))
+            measure_noise(np.zeros(3) + 1.0, np.zeros(4) + 1.0)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -123,12 +124,12 @@ class TestNoiseScaling:
     def test_asymptote_at_high_resolution(self):
         # bounded-support input: no clipping, so the floor is purely granular
         rng = np.random.default_rng(8)
-        sig = SampledSignal(rng.uniform(-1.0, 1.0, 500_000))
+        sig = rng.uniform(-1.0, 1.0, 500_000)
         spec = QuantizerSpec(bits=16, clipping_factor=4.0)
         a = full_scale(sig, spec)
         out = quantize(sig, spec, a)
         noise = measure_noise(out, sig).noise_power
-        signal_power = np.mean(sig.samples**2)
+        signal_power = np.mean(sig**2)
         assert noise < 1e-7 * signal_power
 
     def test_clip_granular_tradeoff_in_loading(self):
