@@ -1,7 +1,8 @@
 """CV-QKD transceiver chain simulation with gradient-free optimization."""
 
-from .dsp import (FirFilter, convolve, downsample, generate_symbols,
-                  rrc_filter, super_gaussian_lpf, truncated_rrc, upsample)
+from .dsp import (FirFilter, convolve, decimate, downsample,
+                  generate_symbols, rrc_filter, super_gaussian_lpf,
+                  truncated_rrc, upsample)
 from .experiments import (BudgetError, RunRecord, SweepSpec, photon_scan,
                           report, run_sweep)
 from .keyrate import (DEFAULT_BETA, SkrInputs, TwoModeCovariance,

@@ -8,9 +8,11 @@ processed as two independent real rails through real-tapped filters.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import signal as _sig
 
 
@@ -61,7 +63,10 @@ def generate_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(mean_photon / 2.0)
-    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
+    out = np.empty(count, dtype=complex)
+    out.real = rng.normal(0.0, scale, count)
+    out.imag = rng.normal(0.0, scale, count)
+    return out
 
 
 def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
@@ -85,6 +90,67 @@ def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
     if not 0 <= phase < sps:
         raise ValueError(f"phase must be in [0, sps), got phase={phase} sps={sps}")
     return sig[phase::sps]
+
+
+def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
+             start: int, count: int) -> list[np.ndarray]:
+    """``convolve(s, taps)[start::sps][:count]`` for each signal, computing
+    only the kept outputs.
+
+    Polyphase FFT decimator (Crochiere & Rabiner): tap row r is
+    ``taps[r::sps]`` and filters the phase row ``s[start - r + i*sps]``, so
+    output k is the sum over r of the rows' convolutions at i = k. Each
+    phase row is cut into overlapping frames (overlap-save) that take one
+    batched FFT; the phase spectra are multiplied by their tap spectra and
+    summed, and one batched inverse FFT per signal yields the kept samples.
+    All signals must have the same length.
+    """
+    if sps < 1:
+        raise ValueError(f"sps must be >= 1, got {sps}")
+    if start < 0 or count < 0:
+        raise ValueError(f"start and count must be >= 0, got {start}, {count}")
+    taps = np.asarray(taps, dtype=float)
+    n = len(signals[0])
+    full_len = n + len(taps) - 1 if n else 0
+    kept = max(0, min(count, -(-(full_len - start) // sps)))
+    if kept == 0:
+        return [np.zeros(0, dtype=complex) for _ in signals]
+    rows = -(-len(taps) // sps)  # length of the longest tap row
+    # frames of at least 512 points keep the per-call cost of the batched
+    # transforms small next to their arithmetic
+    nfft = _fft.next_fast_len(max(8 * rows, 512))
+    step = min(nfft - rows + 1, kept)  # kept outputs per frame
+    frame = step + rows - 1
+    # frame f starts at f * step; the last one ends at the last sample and
+    # overlaps its predecessor when step does not divide kept
+    starts = np.minimum(np.arange(-(-kept // step)) * step, kept - step)
+    padded = np.zeros(rows * sps)
+    padded[:len(taps)] = taps
+    tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
+    length = kept + rows - 1  # phase-row samples that reach a kept output
+    lo = start - (rows - 1) * sps - (sps - 1)
+    hi = lo + length * sps
+    out = []
+    for sig in signals:
+        if 0 <= lo and hi <= n:
+            block = sig[lo:hi]
+        else:  # the rows reach past an end of the signal: pad with zeros
+            block = np.zeros(hi - lo, dtype=sig.dtype)
+            block[max(lo, 0) - lo:min(hi, n) - lo] = sig[max(lo, 0):min(hi, n)]
+        # column r of the reversed (length, sps) view is phase row r
+        phases = block.reshape(length, sps)[:, ::-1]
+        for r in range(sps):
+            frames = np.lib.stride_tricks.sliding_window_view(phases[:, r], frame)
+            spectra = _fft.fft(frames[starts], nfft, axis=-1)
+            spectra *= tap_spectra[r]
+            if r == 0:
+                total = spectra
+            else:
+                total += spectra
+        kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:frame]
+        new = kept - step * (len(starts) - 1)  # outputs only the last frame has
+        out.append(np.concatenate([kept_rows[:-1].ravel(), kept_rows[-1, step - new:]]))
+    return out
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

@@ -66,7 +66,7 @@ class SweepSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.photon_mode not in (None, "fixed", "scan"):
             raise ValueError(f"unknown photon_mode {self.photon_mode!r}")
-        if self.mean_photon <= 0:
+        if not self.mean_photon > 0:
             raise ValueError("mean_photon must be positive")
 
     def resolved_photon_mode(self) -> str:

@@ -148,7 +148,8 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> upsample -> tx FIR -> DAC -> LPF -> sqrt(tau_ch)
-    loss -> ADC -> rx FIR -> symbol-spaced sampling at the response peak.
+    loss -> ADC -> rx FIR, evaluated only at the symbol-spaced outputs from
+    the response peak on.
     Converter full scales are frozen from their unquantized inputs. The DAC
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
@@ -182,14 +183,9 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         after_adc = attenuated
         adc_clip = 0.0
 
-    received = dsp.convolve(after_adc, h_rx)
-    received_no_adc = dsp.convolve(attenuated, h_rx)
-
     isi = effective_response(h_tx, lpf, h_rx, sps)
-
-    offset = isi.delay_index
-    rx = dsp.downsample(received[offset:], sps, 0)[:config.num_symbols]
-    rx_ref = dsp.downsample(received_no_adc[offset:], sps, 0)[:config.num_symbols]
+    rx, rx_ref = dsp.decimate((after_adc, attenuated), h_rx.taps, sps,
+                              isi.delay_index, config.num_symbols)
     if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rx_ref))):
         raise ValueError("chain output contains non-finite samples")
     tx = symbols[:len(rx)]

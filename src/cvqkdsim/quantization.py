@@ -50,16 +50,17 @@ class QuantizationReport:
             raise ValueError("clip_fraction must lie in [0, 1]")
 
 
-def _rails(samples: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(samples):
-        return np.concatenate([samples.real, samples.imag])
-    return np.asarray(samples, dtype=float)
-
-
 def full_scale(sig: np.ndarray, spec: QuantizerSpec) -> float:
     """Full-scale amplitude A = kappa * (pooled per-rail RMS of the signal)."""
-    rails = _rails(sig)
-    rms = float(np.sqrt(np.mean(rails**2)))
+    if np.iscomplexobj(sig):
+        # both rails squared into one buffer, real rail first, so that the
+        # pairwise mean runs over the same values in the same order
+        squares = np.empty(2 * len(sig))
+        np.square(sig.real, out=squares[:len(sig)])
+        np.square(sig.imag, out=squares[len(sig):])
+    else:
+        squares = np.square(np.asarray(sig, dtype=float))
+    rms = float(np.sqrt(np.mean(squares)))
     if rms <= 0.0:
         raise ValueError("cannot load a quantizer from a zero-RMS signal")
     return spec.clipping_factor * rms
@@ -80,21 +81,27 @@ def quantize(sig: np.ndarray, spec: QuantizerSpec,
         raise ValueError("full scale must be positive")
     delta = spec.step(a)
     half_levels = 1 << (spec.bits - 1)
-
-    def one_rail(x: np.ndarray) -> np.ndarray:
-        idx = np.floor(x / delta)
-        idx = np.clip(idx, -half_levels, half_levels - 1)
-        return (idx + 0.5) * delta
-
     if np.iscomplexobj(sig):
-        return one_rail(sig.real) + 1j * one_rail(sig.imag)
-    return one_rail(np.asarray(sig, dtype=float))
+        out = np.empty(len(sig), dtype=complex)
+        rails = out.view(float)  # interleaved real/imaginary rails
+        np.divide(np.ascontiguousarray(sig).view(float), delta, out=rails)
+    else:
+        out = rails = np.divide(np.asarray(sig, dtype=float), delta)
+    np.floor(rails, out=rails)
+    np.clip(rails, -half_levels, half_levels - 1, out=rails)
+    rails += 0.5
+    rails *= delta
+    return out
 
 
 def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:
     """Fraction of rail samples at or beyond the full-scale amplitude."""
-    rails = _rails(sig)
-    return float(np.mean(np.abs(rails) >= full_scale_amplitude))
+    if np.iscomplexobj(sig):
+        rails = (sig.real, sig.imag)
+    else:
+        rails = (np.asarray(sig, dtype=float),)
+    clipped = sum(np.count_nonzero(np.abs(r) >= full_scale_amplitude) for r in rails)
+    return clipped / (len(rails) * len(sig))
 
 
 def measure_noise(quantized: np.ndarray, reference: np.ndarray,

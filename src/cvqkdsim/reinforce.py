@@ -131,9 +131,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if min(self.learning_rate.tx, self.learning_rate.rx,
-               self.learning_rate.n) <= 0:
-            raise ValueError("learning rates must be positive")
+        rates, sigmas = self.learning_rate, self.sigma_init
+        if not all(x > 0 for x in (rates.tx, rates.rx, rates.n)):
+            raise ValueError("learning_rate must be positive")
+        if not all(x > 0 for x in (sigmas.tx, sigmas.rx, sigmas.n)):
+            raise ValueError("sigma_init must be positive")
+        if not self.sigma_floor >= 0:
+            raise ValueError("sigma_floor must be >= 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not 0.0 < self.sigma_decay <= 1.0:

@@ -1,12 +1,15 @@
 """Independent numeric oracles used to cross-check closed-form results.
 
 Everything here goes through generic linear algebra (eigensolvers, matrix
-Schur complements, quadrature) rather than the closed forms under test.
+Schur complements, quadrature) rather than the closed forms under test, or
+is the straightforward form of a signal pass that the package computes a
+faster way.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as _sig
 
 # symplectic form for two modes in (qA, pA, qB, pB) ordering
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -94,3 +97,39 @@ def random_physical_covariance(rng: np.random.Generator):
     b = tau * (v - 1.0) + 1.0 + 2.0 * n_ex
     c = np.sqrt(tau * (v * v - 1.0))
     return a, b, c, dict(mean_photon=mean_photon, tau=tau, n_ex=n_ex)
+
+
+def reference_decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
+                       count: int) -> np.ndarray:
+    """Full-rate convolution, then every ``sps``-th output from ``start``."""
+    return _sig.convolve(sig, taps, mode="full", method="direct")[start::sps][:count]
+
+
+def _reference_rails(sig: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(sig):
+        return np.concatenate([sig.real, sig.imag])
+    return np.asarray(sig, dtype=float)
+
+
+def reference_full_scale(sig: np.ndarray, clipping_factor: float) -> float:
+    """kappa * RMS over the concatenated rails."""
+    return clipping_factor * float(np.sqrt(np.mean(_reference_rails(sig) ** 2)))
+
+
+def reference_quantize(sig: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
+    """Mid-rise quantizer, one rail at a time, recombined as re + 1j * im."""
+    delta = 2.0 * full_scale / (1 << bits)
+    half_levels = 1 << (bits - 1)
+
+    def one_rail(x: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.floor(x / delta), -half_levels, half_levels - 1)
+        return (idx + 0.5) * delta
+
+    if np.iscomplexobj(sig):
+        return one_rail(sig.real) + 1j * one_rail(sig.imag)
+    return one_rail(np.asarray(sig, dtype=float))
+
+
+def reference_clip_fraction(sig: np.ndarray, full_scale: float) -> float:
+    """Mean of the |rail| >= A indicator over the concatenated rails."""
+    return float(np.mean(np.abs(_reference_rails(sig)) >= full_scale))

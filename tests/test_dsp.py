@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from oracles import reference_decimate
 
-from cvqkdsim.dsp import (FirFilter, convolve, downsample, frequency_response,
-                          generate_symbols, rrc_filter, super_gaussian_lpf,
-                          truncate_taps, truncated_rrc, upsample)
+from cvqkdsim.dsp import (FirFilter, convolve, decimate, downsample,
+                          frequency_response, generate_symbols, rrc_filter,
+                          super_gaussian_lpf, truncate_taps, truncated_rrc,
+                          upsample)
 
 
 class TestGenerateSymbols:
@@ -19,6 +21,13 @@ class TestGenerateSymbols:
         block = generate_symbols(200_000, 4.0, seed=2)
         assert np.var(block.real) == pytest.approx(2.0, rel=0.03)
         assert np.var(block.imag) == pytest.approx(2.0, rel=0.03)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_bits_as_real_plus_j_imag(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(1.7 / 2.0)
+        want = rng.normal(0.0, scale, 1001) + 1j * rng.normal(0.0, scale, 1001)
+        assert generate_symbols(1001, 1.7, seed).tobytes() == want.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         one = generate_symbols(1, 6.0, seed=7)
@@ -115,6 +124,55 @@ class TestConvolve:
         impulse[0] = 1.0
         out = convolve(impulse, FirFilter(taps))
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(taps**2), abs=1e-12)
+
+
+class TestDecimate:
+    """decimate returns convolve(s, taps)[start::sps][:count]: the same
+    length, and values within 1e-12 of the largest kept magnitude."""
+
+    @staticmethod
+    def _check(sig, taps, sps, start, count):
+        want = reference_decimate(sig, taps, sps, start, count)
+        got, = decimate((sig,), taps, sps, start, count)
+        assert got.shape == want.shape
+        if len(want):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sps", [1, 2, 4])
+    @pytest.mark.parametrize("num_taps", [1, 2, 11, 101, 1001])
+    def test_matches_full_convolution_then_slice(self, num_taps, sps):
+        rng = np.random.default_rng(num_taps * 10 + sps)
+        sig = rng.normal(size=1203) + 1j * rng.normal(size=1203)
+        taps = rng.normal(size=num_taps)
+        full_len = len(sig) + num_taps - 1
+        for start in (0, full_len // 2, full_len - 5):
+            # count runs past the end of the output: the tail is where the
+            # input has ended and the taps sweep over zeros
+            self._check(sig, taps, sps, start, len(sig) // sps + 40)
+            self._check(sig, taps, sps, start, 7)
+
+    def test_real_signal_and_several_signals(self):
+        rng = np.random.default_rng(3)
+        taps = rng.normal(size=21)
+        real, cplx = rng.normal(size=400), rng.normal(size=400) * 1j
+        got = decimate((real, cplx), taps, 4, 13, 90)
+        for sig, out in zip((real, cplx), got):
+            want = reference_decimate(sig, taps, 4, 13, 90)
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nothing_kept(self):
+        sig = np.ones(10, dtype=complex)
+        for start, count in ((0, 0), (12, 5), (40, 5)):
+            got, = decimate((sig,), np.ones(3), 2, start, count)
+            want = reference_decimate(sig, np.ones(3), 2, start, count)
+            assert len(got) == len(want) == 0
+
+    def test_rejects_bad_arguments(self):
+        sig = np.ones(8)
+        for sps, start, count in ((0, 0, 1), (2, -1, 1), (2, 0, -1)):
+            with pytest.raises(ValueError):
+                decimate((sig,), np.ones(3), sps, start, count)
 
 
 def _cascade_isi(h: FirFilter, sps: int) -> tuple[float, float]:

@@ -243,6 +243,31 @@ class TestCli:
                                    "tx_len": 11, "rx_len": 21}))
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("section,value", [
+        ("learning_rate", {"tx": float("nan")}),
+        ("sigma_init", {"rx": float("nan")}),
+        ("sigma_init", {"n": 0.0}),
+        ("sigma_floor", float("nan")),
+        ("sigma_floor", -1e-3)])
+    def test_bad_optimizer_value_is_config_error(self, tmp_path, capsys,
+                                                  section, value):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+            "optimizer": {"batch_size": 4, "iterations": 1, section: value}}))
+        assert cli.main(["optimize", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 2
+        assert section in capsys.readouterr().err
+
+    def test_nan_sweep_mean_photon_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "bits-sweep", "bits": [8], "mean_photon": float("nan"),
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+            "mode": "unoptimized", "photon_mode": "fixed"}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+
     @pytest.mark.parametrize("section,key", [
         ("optimizer", "clip_reward"), ("optimizer", "use_estimated_params"),
         ("optimizer", "common_random_numbers"), ("optimizer", "adaptive_step"),

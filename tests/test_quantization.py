@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from oracles import (reference_clip_fraction, reference_full_scale,
+                     reference_quantize)
 
 from cvqkdsim.quantization import (QuantizationReport, QuantizerSpec,
                                    clip_fraction, full_scale, measure_noise,
@@ -148,3 +150,57 @@ class TestNoiseScaling:
         spec = QuantizerSpec(bits=10, clipping_factor=4.0)
         frac = clip_fraction(sig, full_scale(sig, spec))
         assert 0.0 < frac < 1e-4
+
+
+class TestMatchesRailOracle:
+    """The in-place passes give the same bits as the rail-concatenating ones."""
+
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 1001, 40_003])
+    def test_bit_identical(self, n, complex_signal):
+        sig = _gaussian_rail(n, sigma=1.3, seed=n, complex_signal=complex_signal)
+        for bits, kappa in ((10, 4.0), (4, 1.5), (1, 0.5)):  # 1.5 and 0.5 clip
+            spec = QuantizerSpec(bits=bits, clipping_factor=kappa)
+            a = full_scale(sig, spec)
+            assert a == reference_full_scale(sig, kappa)
+            out = quantize(sig, spec, a)
+            assert out.dtype == sig.dtype
+            assert out.tobytes() == reference_quantize(sig, bits, a).tobytes()
+            frac = clip_fraction(sig, a)
+            assert frac == reference_clip_fraction(sig, a)
+            if kappa < 2.0 and n > 1:
+                assert frac > 0
+
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    def test_bit_identical_on_decision_boundaries(self, complex_signal):
+        # samples on and one ulp either side of every level edge k * Delta,
+        # where a reordered division would round to the other level
+        spec, a = QuantizerSpec(bits=4), 0.8
+        edges = np.arange(-10, 11) * spec.step(a)
+        sig = np.concatenate([edges, np.nextafter(edges, np.inf),
+                              np.nextafter(edges, -np.inf)])
+        if complex_signal:
+            sig = sig + 1j * sig[::-1]
+        want = reference_quantize(sig, 4, a)
+        assert quantize(sig, spec, a).tobytes() == want.tobytes()
+        # the outermost edges sit exactly at |x| = A
+        assert clip_fraction(sig, a) == reference_clip_fraction(sig, a)
+
+    @pytest.mark.parametrize("n", [3, 129, 1027, 40_003])
+    def test_full_scale_sums_in_the_same_order(self, n):
+        # magnitudes over 16 decades make the pooled mean depend on the
+        # order and grouping of its additions
+        rng = np.random.default_rng(n)
+        magnitude = 10 ** rng.uniform(-8, 8, n)
+        sig = (rng.normal(size=n) + 1j * rng.normal(size=n)) * magnitude
+        spec = QuantizerSpec(bits=8)
+        for x in (sig, sig.real):
+            assert full_scale(x, spec) == reference_full_scale(x, spec.clipping_factor)
+
+    def test_strided_input(self):
+        sig = _gaussian_rail(2001, seed=11, complex_signal=True)[::3]
+        spec = QuantizerSpec(bits=6)
+        a = full_scale(sig, spec)
+        assert a == reference_full_scale(sig, spec.clipping_factor)
+        assert np.array_equal(quantize(sig, spec, a), reference_quantize(sig, 6, a))
+        assert clip_fraction(sig, a) == reference_clip_fraction(sig, a)
