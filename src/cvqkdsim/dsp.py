@@ -79,7 +79,12 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
 
 
 def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
-    """Full linear convolution of a signal with an FIR filter."""
+    """Full linear convolution of a signal with an FIR filter.
+
+    Its one caller in the chain is the tx filter, which stays a direct
+    convolution on purpose: the DAC quantizes its output, and the ~1e-16
+    rounding changes of an FFT convolution flip DAC decisions.
+    """
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
     return _sig.convolve(sig, fir.taps, mode="full", method="auto")
@@ -103,7 +108,9 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     phase row is cut into overlapping frames (overlap-save) that take one
     batched FFT; the phase spectra are multiplied by their tap spectra and
     summed, and one batched inverse FFT per signal yields the kept samples.
-    All signals must have the same length.
+    With ``sps=1`` there is one phase row and this is plain overlap-save;
+    ``start=0`` with ``count = len(s) + len(taps) - 1`` gives the full
+    convolution. All signals must have the same length.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")

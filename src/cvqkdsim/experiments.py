@@ -156,20 +156,27 @@ def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
                      init: PolicyState, workers: int) -> tuple[dict, PolicyState]:
     """RL-optimize from ``init`` and re-evaluate contenders at full length.
 
-    The initial operating point is always a contender, so the optimized
-    result can never fall below its own starting point at the shared
-    evaluation seed.
+    The initial operating point is a contender, so the optimized result
+    can never fall below its own starting point at the shared evaluation
+    seed. A contender that is None or whose chain fails is dropped, so a
+    failing start cannot abort the sweep.
     """
     opt = optimize(env, init, spec.optimizer, workers=workers)
-    contenders = [opt.best_params, init.decode()]
-    evaluated = [_evaluate_point(eval_env, p, spec.optimizer.beta)
-                 for p in contenders]
-    best_idx = int(np.argmax([e["skr_bits_per_symbol"] for e in evaluated]))
-    out = evaluated[best_idx]
+    scored = []
+    for params in (opt.best_params, init.decode()):
+        if params is None:
+            continue
+        try:
+            scored.append((_evaluate_point(eval_env, params, spec.optimizer.beta),
+                           params))
+        except (ValueError, ArithmeticError):
+            continue
+    if not scored:
+        raise ValueError("neither the optimized nor the initial point evaluates")
+    out, best = max(scored, key=lambda pair: pair[0]["skr_bits_per_symbol"])
     out["rl_iterations"] = spec.optimizer.iterations
     out["rl_best_reward"] = opt.best_reward
-    warm = PolicyState.from_params(contenders[best_idx],
-                                   sigma=spec.optimizer.sigma_init)
+    warm = PolicyState.from_params(best, sigma=spec.optimizer.sigma_init)
     return out, warm
 
 

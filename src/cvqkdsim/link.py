@@ -148,8 +148,10 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> upsample -> tx FIR -> DAC -> LPF -> sqrt(tau_ch)
-    loss -> ADC -> rx FIR, evaluated only at the symbol-spaced outputs from
-    the response peak on.
+    loss -> ADC -> rx FIR. The tx FIR is a direct convolution; the LPF is
+    filtered full-length by the FFT decimator at one sample per output,
+    and the rx FIR by the same routine, evaluated only at the
+    symbol-spaced outputs from the response peak on.
     Converter full scales are frozen from their unquantized inputs. The DAC
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
@@ -172,7 +174,8 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         after_dac = shaped
         dac_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
 
-    analog = dsp.convolve(after_dac, lpf)
+    analog = dsp.decimate((after_dac,), lpf.taps, 1, 0,
+                          len(after_dac) + len(lpf) - 1)[0]
     attenuated = np.sqrt(config.channel_transmittance) * analog
 
     if config.adc is not None:

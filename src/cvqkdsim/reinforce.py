@@ -305,15 +305,22 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
     """Run the full REINFORCE loop and return the best-so-far parameters.
 
     The initial policy mean is evaluated first, so with iterations = 0 the
-    result is the initial operating point and its reward. Per-episode seeds
-    derive from (config.seed, iteration, index); traces are reproducible
-    for any worker count.
+    result is the initial operating point and its reward. A start whose
+    chain fails is guarded like an episode: it leaves no best point, and
+    the loop runs on. ``ValueError`` is raised only when neither the start
+    nor any episode gave a valid reward. Per-episode seeds derive from
+    (config.seed, iteration, index); traces are reproducible for any
+    worker count.
     """
-    init_params = init.decode()
     _, init_chain_seed = _episode_seeds(config.seed, 0, 0)
-    init_reward = chain_reward(env, init_params, init_chain_seed,
-                               beta=config.beta)
-    policy = replace(init, best_params=init_params, best_reward=init_reward)
+    try:
+        init_params = init.decode()
+        init_reward = chain_reward(env, init_params, init_chain_seed,
+                                   beta=config.beta)
+        policy = replace(init, best_params=init_params, best_reward=init_reward)
+    except (ValueError, ArithmeticError) as exc:
+        init_error = str(exc)
+        policy = replace(init, best_params=None, best_reward=-np.inf)
 
     trace: list[TraceRow] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -341,6 +348,9 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
         if pool is not None:
             pool.shutdown()
 
+    if policy.best_params is None:
+        raise ValueError("no valid reward from the start or any episode; "
+                         f"the start failed with: {init_error}")
     return OptimizeResult(policy=policy, best_params=policy.best_params,
                           best_reward=policy.best_reward, trace=trace)
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_decimate
 
 from cvqkdsim.dsp import (FirFilter, convolve, decimate, downsample,
                           frequency_response, generate_symbols, rrc_filter,
                           super_gaussian_lpf, truncate_taps, truncated_rrc,
                           upsample)
+from cvqkdsim.link import LinkConfig
 
 
 class TestGenerateSymbols:
@@ -151,6 +154,40 @@ class TestDecimate:
             # input has ended and the taps sweep over zeros
             self._check(sig, taps, sps, start, len(sig) // sps + 40)
             self._check(sig, taps, sps, start, 7)
+
+    @pytest.mark.parametrize("past_end", [0, 1, 300])
+    def test_lpf_full_length_at_one_sample_per_output(self, past_end):
+        # the chain's LPF: its 257 real taps over a complex signal long
+        # enough for many overlap-save frames; sps=1 and start=0 give the
+        # full convolution, and a count past its length is cut to it
+        taps = LinkConfig().lpf_filter().taps
+        rng = np.random.default_rng(257)
+        sig = rng.normal(size=40_003) + 1j * rng.normal(size=40_003)
+        full_len = len(sig) + len(taps) - 1
+        got, = decimate((sig,), taps, 1, 0, full_len + past_end)
+        assert len(got) == full_len
+        self._check(sig, taps, 1, 0, full_len + past_end)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4000), num_taps=st.integers(1, 600),
+           sps=st.integers(1, 6), start=st.integers(0, 5000),
+           count=st.integers(0, 5000), complex_signal=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_oracle(self, n, num_taps, sps, start, count,
+                                     complex_signal, seed):
+        # tolerance on the output bound max|s| * sum|taps|, not the kept
+        # peak, which a short slice of random data can leave near zero
+        rng = np.random.default_rng(seed)
+        sig = rng.normal(size=n)
+        if complex_signal:
+            sig = sig + 1j * rng.normal(size=n)
+        taps = rng.normal(size=num_taps)
+        want = reference_decimate(sig, taps, sps, start, count)
+        got, = decimate((sig,), taps, sps, start, count)
+        assert got.shape == want.shape
+        if len(want):
+            bound = np.max(np.abs(sig)) * np.sum(np.abs(taps))
+            assert np.max(np.abs(got - want)) <= 1e-12 * bound
 
     def test_real_signal_and_several_signals(self):
         rng = np.random.default_rng(3)

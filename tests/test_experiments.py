@@ -55,6 +55,19 @@ class TestRunSweep:
         two = run_sweep(spec)
         assert one[0].outputs == two[0].outputs
 
+    def test_failing_start_does_not_abort_sweep(self):
+        # the start at 1e300 photons fails in the optimizer and again as a
+        # contender; the optimized point comes from a valid episode
+        spec = SweepSpec(kind="distance-sweep", distances_km=[20.0],
+                         env=_tiny_env(), mode="optimized", photon_mode="fixed",
+                         mean_photon=1e300,
+                         optimizer=_tiny_optimizer(batch_size=8, iterations=2, seed=4,
+                                                   sigma_init=GroupSigmas(n=300.0)))
+        records = run_sweep(spec)
+        assert len(records) == 1
+        assert np.isfinite(records[0].outputs["skr_bits_per_symbol"])
+        assert records[0].outputs["mean_photon"] < 1e100
+
     def test_budget_refusal_names_cost(self):
         spec = SweepSpec(kind="bits-sween" if False else "bits-sweep",
                          bits=[6, 8, 10, 12], env=_tiny_env(), max_points=3)
@@ -258,6 +271,18 @@ class TestCli:
         assert cli.main(["optimize", "--config", str(cfg),
                          "--out", str(tmp_path / "trace.csv")]) == 2
         assert section in capsys.readouterr().err
+
+    def test_optimizer_without_valid_reward_is_runtime_error(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+            "mean_photon": 1e300,
+            "optimizer": {"batch_size": 4, "iterations": 1,
+                          "sigma_init": {"n": 1e-3}}}))
+        assert cli.main(["optimize", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 4
+        assert "no valid reward" in capsys.readouterr().err
 
     def test_nan_sweep_mean_photon_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import (reference_clip_fraction, reference_full_scale,
                      reference_quantize)
 
@@ -74,6 +77,22 @@ class TestQuantize:
     def test_spec_rejects_nan_clipping_factor(self):
         with pytest.raises(ValueError, match="clipping_factor"):
             QuantizerSpec(bits=8, clipping_factor=float("nan"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bits=st.integers(1, 16),
+           full=st.floats(1e-6, 1e6),
+           rails=arrays(float, st.tuples(st.integers(1, 64), st.just(2)),
+                        elements=st.floats(-3.0, 3.0)),
+           complex_signal=st.booleans())
+    def test_idempotent_on_frozen_full_scale(self, bits, full, rails,
+                                             complex_signal):
+        # a level (k + 1/2) * Delta maps back to itself, byte for byte;
+        # samples run to 3 A, so clipped ones are covered too
+        x = full * rails
+        sig = x.view(complex)[:, 0] if complex_signal else x[:, 0]
+        spec = QuantizerSpec(bits=bits)
+        once = quantize(sig, spec, full)
+        assert quantize(once, spec, full).tobytes() == once.tobytes()
 
 
 class TestMeasureNoise:

@@ -6,7 +6,8 @@ import pytest
 from cvqkdsim.link import LinkConfig, baseline_filters, effective_response
 from cvqkdsim.quantization import QuantizerSpec
 from cvqkdsim.reinforce import (Episode, GroupSigmas, OptimizerConfig,
-                                PolicyState, TransceiverParams, optimize,
+                                PolicyState, TransceiverParams, chain_reward,
+                                optimize,
                                 reinforce_search, reinforce_update,
                                 sample_episode, score_function_step)
 
@@ -197,6 +198,26 @@ class TestOptimize:
         best = [row.best_reward for row in result.trace]
         assert all(b >= a for a, b in zip(best, best[1:]))
         assert result.best_reward >= best[0]
+
+    def test_failing_start_recovers_through_valid_episode(self):
+        # at 1e300 photons the key rate fails (conditional eigenvalue below
+        # vacuum); the wide photon exploration reaches valid episodes
+        env = _small_env()
+        policy = _policy(env, mean_photon=1e300, sigma=GroupSigmas(n=300.0))
+        with pytest.raises(ArithmeticError):
+            chain_reward(env, policy.decode(), chain_seed=0)
+        result = optimize(env, policy, OptimizerConfig(batch_size=8, iterations=2,
+                                                       seed=4))
+        # the first batch has no valid episode either; the loop runs on
+        assert result.trace[0].best_reward == -np.inf
+        assert np.isfinite(result.best_reward)
+        assert result.best_params.mean_photon < 1e100
+
+    def test_failing_start_without_valid_episode_raises(self):
+        env = _small_env()
+        policy = _policy(env, mean_photon=1e300, sigma=GroupSigmas(n=1e-3))
+        with pytest.raises(ValueError, match="no valid reward"):
+            optimize(env, policy, OptimizerConfig(batch_size=4, iterations=1))
 
     def test_reduces_isi_from_truncated_start(self):
         # quantization disabled, short transmitter: the learned pair must
