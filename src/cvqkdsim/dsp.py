@@ -81,13 +81,41 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
 def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Full linear convolution of a signal with an FIR filter.
 
-    Its one caller in the chain is the tx filter, which stays a direct
-    convolution on purpose: the DAC quantizes its output, and the ~1e-16
-    rounding changes of an FFT convolution flip DAC decisions.
+    The chain calls it only through ``interpolate``, once per rail and
+    tx phase row; the LPF and rx filter run through ``decimate``.
     """
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
     return _sig.convolve(sig, fir.taps, mode="full", method="auto")
+
+
+def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
+    """``convolve(upsample(symbols, sps), taps)`` at full length, without
+    multiplying the stuffed zeros.
+
+    Polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
+    output sample ``q*sps + p`` is the convolution of the symbols with tap
+    row ``taps[p::sps]`` at ``q``. Each real rail is filtered by each row
+    through ``convolve`` (scipy's ``method="auto"``, direct for short
+    rows), and the result is written into the strided phase view of one
+    output array. The output is complex, as ``upsample`` makes it; a real
+    input's imaginary rail is zero.
+    """
+    if sps < 1:
+        raise ValueError(f"sps must be >= 1, got {sps}")
+    taps = np.asarray(taps, dtype=float)
+    symbols = np.asarray(symbols)
+    n = len(symbols)
+    if n == 0:
+        return np.zeros(0, dtype=complex)
+    out = np.zeros(n * sps + len(taps) - 1, dtype=complex)
+    for p in range(min(sps, len(taps))):
+        row = FirFilter(taps[p::sps])
+        for rail, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
+            # a phase view is one sample longer than its row's output when
+            # sps divides len(taps) - p; that sample stays zero
+            dest[p::sps][:n + len(row) - 1] = convolve(rail, row)
+    return out
 
 
 def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
@@ -130,13 +158,14 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     frame = step + rows - 1
     # frame f starts at f * step; the last one ends at the last sample and
     # overlaps its predecessor when step does not divide kept
-    starts = np.minimum(np.arange(-(-kept // step)) * step, kept - step)
+    num_frames = -(-kept // step)
     padded = np.zeros(rows * sps)
     padded[:len(taps)] = taps
     tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
     length = kept + rows - 1  # phase-row samples that reach a kept output
     lo = start - (rows - 1) * sps - (sps - 1)
     hi = lo + length * sps
+    whole = (num_frames - 1) * step  # outputs of all frames but the last
     out = []
     for sig in signals:
         if 0 <= lo and hi <= n:
@@ -147,16 +176,23 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
         # column r of the reversed (length, sps) view is phase row r
         phases = block.reshape(length, sps)[:, ::-1]
         for r in range(sps):
-            frames = np.lib.stride_tricks.sliding_window_view(phases[:, r], frame)
-            spectra = _fft.fft(frames[starts], nfft, axis=-1)
+            windows = np.lib.stride_tricks.sliding_window_view(phases[:, r], frame)
+            spectra = np.zeros((num_frames, nfft), dtype=complex)
+            spectra[:-1, :frame] = windows[:whole:step]
+            spectra[-1, :frame] = windows[kept - step]
+            spectra = _fft.fft(spectra, axis=-1, overwrite_x=True)
             spectra *= tap_spectra[r]
             if r == 0:
                 total = spectra
             else:
                 total += spectra
+        del block, phases, windows, spectra
         kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:frame]
-        new = kept - step * (len(starts) - 1)  # outputs only the last frame has
-        out.append(np.concatenate([kept_rows[:-1].ravel(), kept_rows[-1, step - new:]]))
+        del total
+        result = np.empty(kept, dtype=complex)
+        result[:whole].reshape(-1, step)[...] = kept_rows[:-1]
+        result[whole:] = kept_rows[-1, step - (kept - whole):]
+        out.append(result)
     return out
 
 

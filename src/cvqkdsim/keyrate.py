@@ -52,11 +52,17 @@ class SkrInputs:
 
 @dataclass(frozen=True)
 class TwoModeCovariance:
-    """Two-mode covariance [[a I2, c sz], [c sz, b I2]], sz = diag(1, -1)."""
+    """Two-mode covariance [[a I2, c sz], [c sz, b I2]], sz = diag(1, -1).
+
+    ``det`` is ab - c^2, passed in because ab and c^2 agree to about 1/V
+    of their size at large modulation variance V: the caller forms it
+    without that cancellation where it can.
+    """
 
     a: float
     b: float
     c: float
+    det: float
 
     def __post_init__(self):
         if self.a < 1.0 or self.b < 1.0:
@@ -74,7 +80,8 @@ def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
     """Entangling-cloner covariance of the effective Gaussian channel.
 
     a = V, b = tau (V - 1) + 1 + xi, c = sqrt(tau (V^2 - 1)) with
-    V = V_mod + 1 and the excess noise xi added at the output.
+    V = V_mod + 1 and the excess noise xi added at the output. The
+    determinant ab - c^2 = V (1 - tau + xi) + tau is formed from the inputs.
     """
     v = inputs.modulation_variance + 1.0
     tau = inputs.transmittance
@@ -82,13 +89,15 @@ def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
     a = v
     b = tau * (v - 1.0) + 1.0 + xi
     c = float(np.sqrt(tau * (v * v - 1.0)))
-    return TwoModeCovariance(a=a, b=b, c=c)
+    return TwoModeCovariance(a=a, b=b, c=c, det=v * (1.0 - tau + xi) + tau)
 
 
 def gaussian_entropy(nu: float) -> float:
     """Bosonic entropy term g(nu) in bits; g(1) = 0.
 
-    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)
+    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), computed
+    as (hi ln(1 + 1/lo) + ln lo) / ln 2 with hi, lo = (nu +/- 1)/2, which
+    does not subtract two terms of size log(nu) at large nu.
     """
     if nu < 1.0 - 1e-9:
         raise ValueError(f"symplectic eigenvalue below 1: {nu}")
@@ -96,25 +105,23 @@ def gaussian_entropy(nu: float) -> float:
         return 0.0
     hi = (nu + 1.0) / 2.0
     lo = (nu - 1.0) / 2.0
-    return float(hi * np.log2(hi) - lo * np.log2(lo))
+    return float((hi * np.log1p(1.0 / lo) + np.log(lo)) / np.log(2.0))
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
     """Closed-form symplectic spectrum of the two-mode state.
 
-    nu^2 = (A +/- sqrt(A^2 - 4B)) / 2 with A = a^2 + b^2 - 2c^2 and
-    B = (ab - c^2)^2.
+    nu1 = (|a - b| + sqrt((a - b)^2 + 4 D)) / 2 and nu2 = D / nu1 with
+    D = ab - c^2; this is nu^2 = (A +/- sqrt(A^2 - 4 D^2)) / 2 with
+    A = a^2 + b^2 - 2c^2 = (a - b)^2 + 2 D, without its cancellations.
     """
-    a, b, c = cov.a, cov.b, cov.c
-    big_a = a * a + b * b - 2.0 * c * c
-    big_b = (a * b - c * c) ** 2
-    disc = big_a * big_a - 4.0 * big_b
-    if disc < -1e-9 * max(1.0, big_a * big_a):
-        raise ArithmeticError(f"unphysical covariance: A^2 - 4B = {disc}")
-    root = float(np.sqrt(max(disc, 0.0)))
-    nu1 = float(np.sqrt((big_a + root) / 2.0))
-    nu2 = float(np.sqrt(max((big_a - root) / 2.0, 0.0)))
-    if nu1 < 1.0 - 1e-9 or nu2 < 1.0 - 1e-9:
+    diff = abs(cov.a - cov.b)
+    disc = diff * diff + 4.0 * cov.det
+    if not disc >= 0.0:
+        raise ArithmeticError(f"unphysical covariance: (a - b)^2 + 4(ab - c^2) = {disc}")
+    nu1 = (diff + float(np.sqrt(disc))) / 2.0
+    nu2 = cov.det / nu1
+    if not (nu1 >= 1.0 - 1e-9 and nu2 >= 1.0 - 1e-9):  # NaN fails too
         raise ArithmeticError(f"symplectic eigenvalue below vacuum: {nu1}, {nu2}")
     return nu1, nu2
 
@@ -122,9 +129,9 @@ def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
 def conditional_eigenvalue(cov: TwoModeCovariance) -> float:
     """Symplectic eigenvalue of Alice's state after Bob's heterodyne.
 
-    nu3 = a - c^2 / (b + 1).
+    nu3 = a - c^2 / (b + 1) = (ab - c^2 + a) / (b + 1).
     """
-    return cov.a - cov.c**2 / (cov.b + 1.0)
+    return (cov.det + cov.a) / (cov.b + 1.0)
 
 
 def holevo_bound(cov: TwoModeCovariance) -> float:
@@ -143,16 +150,24 @@ def holevo_bound(cov: TwoModeCovariance) -> float:
 def mutual_information(cov: TwoModeCovariance) -> float:
     """Shannon rate of the double-quadrature heterodyne channel in bits/symbol.
 
-    I_AB = log2((b + 1) / (b + 1 - c^2 / (a + 1))).
+    I_AB = log2((b + 1) / (b + 1 - c^2 / (a + 1)))
+         = log2((a + 1)(b + 1) / (ab - c^2 + a + b + 1)).
     """
-    a, b, c = cov.a, cov.b, cov.c
-    return float(np.log2((b + 1.0) / (b + 1.0 - c * c / (a + 1.0))))
+    a, b = cov.a, cov.b
+    return float(np.log2((a + 1.0) * (b + 1.0) / (cov.det + a + b + 1.0)))
 
 
 def devetak_winter_rate(inputs: SkrInputs) -> float:
-    """Unclipped asymptotic rate beta * I_AB - chi_BE in bits/symbol."""
+    """Unclipped asymptotic rate beta * I_AB - chi_BE in bits/symbol.
+
+    Raises ``ArithmeticError`` when the rate is not finite, as when the
+    variances overflow.
+    """
     cov = build_covariance(inputs)
-    return inputs.beta * mutual_information(cov) - holevo_bound(cov)
+    rate = inputs.beta * mutual_information(cov) - holevo_bound(cov)
+    if not np.isfinite(rate):
+        raise ArithmeticError(f"non-finite key rate at {inputs}")
+    return rate
 
 
 def secure_key_rate(inputs: SkrInputs) -> float:

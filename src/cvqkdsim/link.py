@@ -147,11 +147,13 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
               mean_photon: float) -> ChainResult:
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
-    Stages: symbols -> upsample -> tx FIR -> DAC -> LPF -> sqrt(tau_ch)
-    loss -> ADC -> rx FIR. The tx FIR is a direct convolution; the LPF is
-    filtered full-length by the FFT decimator at one sample per output,
-    and the rx FIR by the same routine, evaluated only at the
-    symbol-spaced outputs from the response peak on.
+    Stages: symbols -> tx FIR at sps samples per symbol -> DAC -> LPF ->
+    sqrt(tau_ch) loss -> ADC -> rx FIR. The tx FIR is the polyphase
+    interpolator, which filters the symbols with the tap rows directly
+    instead of the zero-stuffed samples; the LPF is filtered full-length by
+    the FFT decimator at one sample per output, and the rx FIR by the same
+    routine, evaluated only at the symbol-spaced outputs from the response
+    peak on. Each stage's input is released once the next stage has it.
     Converter full scales are frozen from their unquantized inputs. The DAC
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
@@ -164,7 +166,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     lpf = config.lpf_filter()
 
     symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
-    shaped = dsp.convolve(dsp.upsample(symbols, sps), h_tx)
+    shaped = dsp.interpolate(symbols, h_tx.taps, sps)
 
     if config.dac is not None:
         dac_scale = full_scale(shaped, config.dac)
@@ -173,10 +175,12 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     else:
         after_dac = shaped
         dac_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+    del shaped
 
-    analog = dsp.decimate((after_dac,), lpf.taps, 1, 0,
-                          len(after_dac) + len(lpf) - 1)[0]
-    attenuated = np.sqrt(config.channel_transmittance) * analog
+    attenuated = dsp.decimate((after_dac,), lpf.taps, 1, 0,
+                              len(after_dac) + len(lpf) - 1)[0]
+    del after_dac
+    attenuated *= np.sqrt(config.channel_transmittance)
 
     if config.adc is not None:
         adc_scale = full_scale(attenuated, config.adc)
@@ -189,6 +193,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     isi = effective_response(h_tx, lpf, h_rx, sps)
     rx, rx_ref = dsp.decimate((after_adc, attenuated), h_rx.taps, sps,
                               isi.delay_index, config.num_symbols)
+    del after_adc, attenuated
     if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rx_ref))):
         raise ValueError("chain output contains non-finite samples")
     tx = symbols[:len(rx)]

@@ -105,6 +105,13 @@ def reference_decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     return _sig.convolve(sig, taps, mode="full", method="direct")[start::sps][:count]
 
 
+def reference_interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
+    """Zero-stuff to ``sps`` samples per symbol, then convolve directly."""
+    stuffed = np.zeros(len(symbols) * sps, dtype=complex)
+    stuffed[::sps] = symbols
+    return _sig.convolve(stuffed, taps, mode="full", method="direct")
+
+
 def _reference_rails(sig: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(sig):
         return np.concatenate([sig.real, sig.imag])
@@ -133,3 +140,38 @@ def reference_quantize(sig: np.ndarray, bits: int, full_scale: float) -> np.ndar
 def reference_clip_fraction(sig: np.ndarray, full_scale: float) -> float:
     """Mean of the |rail| >= A indicator over the concatenated rails."""
     return float(np.mean(np.abs(_reference_rails(sig)) >= full_scale))
+
+
+def mpmath_key_rate(mean_photon: float, tau: float, n_ex: float, beta: float,
+                    digits: int = 80) -> float:
+    """Unclipped rate beta * I_AB - chi_BE from the textbook forms, in
+    ``digits``-digit arithmetic.
+
+    nu1,2^2 = (A +/- sqrt(A^2 - 4B)) / 2 with A = a^2 + b^2 - 2c^2 and
+    B = (ab - c^2)^2, nu3 = a - c^2 / (b + 1), and the entropy as the
+    difference of its two terms: the forms whose cancellations the
+    package avoids, evaluated with enough digits that they do not matter.
+    The float inputs are taken exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        n, t, x, be = (mpmath.mpf(v) for v in (mean_photon, tau, n_ex, beta))
+        v = 2 * n + 1
+        a = v
+        b = t * (v - 1) + 1 + 2 * x
+        c2 = t * (v * v - 1)
+        big_a = a * a + b * b - 2 * c2
+        root = mpmath.sqrt(big_a * big_a - 4 * (a * b - c2) ** 2)
+        nus = (mpmath.sqrt((big_a + root) / 2), mpmath.sqrt((big_a - root) / 2),
+               a - c2 / (b + 1))
+
+        def entropy(nu):
+            if nu <= 1:
+                return mpmath.mpf(0)
+            hi, lo = (nu + 1) / 2, (nu - 1) / 2
+            return hi * mpmath.log(hi, 2) - lo * mpmath.log(lo, 2)
+
+        chi = entropy(nus[0]) + entropy(nus[1]) - entropy(nus[2])
+        i_ab = mpmath.log((b + 1) / (b + 1 - c2 / (a + 1)), 2)
+        return float(be * i_ab - chi)

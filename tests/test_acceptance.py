@@ -37,7 +37,7 @@ def test_criterion_1_keyrate_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         a, b, c, _ = random_physical_covariance(rng)
-        cov = TwoModeCovariance(a, b, c)
+        cov = TwoModeCovariance(a, b, c, a * b - c * c)
         nu1, nu2 = symplectic_eigenvalues(cov)
         ref = numeric_symplectic_eigenvalues(cov.matrix())
         chi = holevo_bound(cov)

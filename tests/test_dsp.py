@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_decimate
+from oracles import reference_decimate, reference_interpolate
 
 from cvqkdsim.dsp import (FirFilter, convolve, decimate, downsample,
-                          frequency_response, generate_symbols, rrc_filter,
-                          super_gaussian_lpf, truncate_taps, truncated_rrc,
-                          upsample)
-from cvqkdsim.link import LinkConfig
+                          frequency_response, generate_symbols, interpolate,
+                          rrc_filter, super_gaussian_lpf, truncate_taps,
+                          truncated_rrc, upsample)
+from cvqkdsim.link import LinkConfig, baseline_filters
+from cvqkdsim.quantization import full_scale
 
 
 class TestGenerateSymbols:
@@ -210,6 +211,54 @@ class TestDecimate:
         for sps, start, count in ((0, 0, 1), (2, -1, 1), (2, 0, -1)):
             with pytest.raises(ValueError):
                 decimate((sig,), np.ones(3), sps, start, count)
+
+
+class TestInterpolate:
+    """interpolate returns convolve(upsample(symbols, sps), taps): the same
+    length, and values within 1e-14 of the largest output magnitude."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), num_taps=st.integers(1, 64),
+           sps=st.integers(1, 8), complex_symbols=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=257, num_taps=101, sps=4, complex_symbols=True, seed=5)
+    def test_property_matches_oracle(self, n, num_taps, sps, complex_symbols, seed):
+        # num_taps < sps leaves whole phases of the output at zero; the
+        # example has the 25/26-tap rows of a 101-tap filter
+        rng = np.random.default_rng(seed)
+        symbols = rng.normal(size=n)
+        if complex_symbols:
+            symbols = symbols + 1j * rng.normal(size=n)
+        taps = rng.normal(size=num_taps)
+        want = reference_interpolate(symbols, taps, sps)
+        got = interpolate(symbols, taps, sps)
+        assert got.shape == want.shape
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_empty_input_and_bad_sps(self):
+        assert interpolate(np.zeros(0, dtype=complex), np.ones(3), 4).shape == (0,)
+        with pytest.raises(ValueError):
+            interpolate(np.ones(3), np.ones(3), 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_chain_dac_levels_match_oracle_path(self, seed):
+        # the DAC quantizes the tx output, so rounding differences between
+        # the two convolution forms could flip a level; at 11 taps and
+        # 10 bits none does
+        config = LinkConfig(num_symbols=10_000, seed=seed)
+        h_tx, _ = baseline_filters(config)
+        symbols = generate_symbols(config.num_symbols, 2.0, seed)
+        half_levels = 1 << (config.dac.bits - 1)
+
+        def levels(shaped):
+            delta = config.dac.step(full_scale(shaped, config.dac))
+            idx = np.floor(shaped.view(float) / delta)
+            return np.clip(idx, -half_levels, half_levels - 1)
+
+        got = levels(interpolate(symbols, h_tx.taps, config.sps))
+        want = levels(reference_interpolate(symbols, h_tx.taps, config.sps))
+        np.testing.assert_array_equal(got, want)
 
 
 def _cascade_isi(h: FirFilter, sps: int) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim.keyrate import (DEFAULT_BETA, SkrInputs, TwoModeCovariance,
                               build_covariance, conditional_eigenvalue,
@@ -7,8 +9,8 @@ from cvqkdsim.keyrate import (DEFAULT_BETA, SkrInputs, TwoModeCovariance,
                               holevo_bound, mutual_information,
                               secure_key_rate, symplectic_eigenvalues)
 
-from oracles import (numeric_channel_covariance, numeric_holevo,
-                     numeric_mutual_information,
+from oracles import (mpmath_key_rate, numeric_channel_covariance,
+                     numeric_holevo, numeric_mutual_information,
                      numeric_symplectic_eigenvalues,
                      random_physical_covariance)
 
@@ -47,20 +49,21 @@ class TestBuildCovariance:
 class TestSymplecticEigenvalues:
     def test_pure_two_mode_squeezed(self):
         v = 13.0
-        cov = TwoModeCovariance(v, v, np.sqrt(v * v - 1.0))
+        c = np.sqrt(v * v - 1.0)
+        cov = TwoModeCovariance(v, v, c, v * v - c * c)
         nu1, nu2 = symplectic_eigenvalues(cov)
         assert nu1 == pytest.approx(1.0, abs=1e-9)
         assert nu2 == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
-        nu1, nu2 = symplectic_eigenvalues(TwoModeCovariance(3.0, 2.0, 0.0))
+        nu1, nu2 = symplectic_eigenvalues(TwoModeCovariance(3.0, 2.0, 0.0, 6.0))
         assert (nu1, nu2) == (3.0, 2.0)
 
     def test_against_numeric_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             a, b, c, _ = random_physical_covariance(rng)
-            cov = TwoModeCovariance(a, b, c)
+            cov = TwoModeCovariance(a, b, c, a * b - c * c)
             closed = symplectic_eigenvalues(cov)
             numeric = numeric_symplectic_eigenvalues(cov.matrix())
             assert closed[0] == pytest.approx(numeric[0], abs=1e-9)
@@ -97,7 +100,7 @@ class TestHolevoBound:
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b, c, _ = random_physical_covariance(rng)
-            cov = TwoModeCovariance(a, b, c)
+            cov = TwoModeCovariance(a, b, c, a * b - c * c)
             cond = cov.a - cov.c**2 / (cov.b + 1.0)
             matrix = cov.matrix()
             blk = matrix[:2, :2] - matrix[:2, 2:] @ np.linalg.inv(
@@ -112,7 +115,7 @@ class TestMutualInformation:
         assert mutual_information(cov) == pytest.approx(np.log2(7.0), abs=1e-12)
 
     def test_uncorrelated_modes_share_nothing(self):
-        assert mutual_information(TwoModeCovariance(3.0, 2.0, 0.0)) == 0.0
+        assert mutual_information(TwoModeCovariance(3.0, 2.0, 0.0, 6.0)) == 0.0
 
     def test_increasing_in_mean_photon(self):
         values = [mutual_information(build_covariance(SkrInputs(n, 0.2, 1e-3)))
@@ -123,7 +126,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(5)
         for _ in range(100):
             a, b, c, _ = random_physical_covariance(rng)
-            cov = TwoModeCovariance(a, b, c)
+            cov = TwoModeCovariance(a, b, c, a * b - c * c)
             assert mutual_information(cov) == pytest.approx(
                 numeric_mutual_information(cov.matrix()), abs=1e-9)
 
@@ -164,6 +167,67 @@ class TestSecureKeyRate:
         rates = [secure_key_rate(SkrInputs(4.0, 0.1, 1e-3, beta=b))
                  for b in np.linspace(0.5, 1.0, 100)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+
+class TestHighPhotonNumbers:
+    """The rate needs ab - c^2, which the textbook forms get by subtracting
+    numbers of size tau V^2; the package forms it from the inputs."""
+
+    def test_matches_high_precision_oracle(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = 10.0 ** rng.uniform(-2.0, 20.0)
+            tau = rng.uniform(1e-3, 1.0)
+            n_ex = 10.0 ** rng.uniform(-6.0, -1.0)
+            beta = rng.uniform(0.8, 1.0)
+            want = mpmath_key_rate(n, tau, n_ex, beta)
+            got = devetak_winter_rate(SkrInputs(n, tau, n_ex, beta))
+            assert abs(got - want) <= 1e-9 * abs(want) + 1e-12, (n, tau, n_ex, beta)
+
+    @pytest.mark.parametrize("mean_photon", [1e9, 1e10, 1e20, 1e50, 1e150])
+    def test_finite_and_falling_far_past_the_optimum(self, mean_photon):
+        rate = devetak_winter_rate(SkrInputs(mean_photon, 0.6, 1e-3))
+        assert np.isfinite(rate)
+        assert rate < devetak_winter_rate(SkrInputs(mean_photon / 10.0, 0.6, 1e-3))
+
+    def test_overflow_raises_arithmetic_error(self):
+        with pytest.raises(ArithmeticError):
+            devetak_winter_rate(SkrInputs(1e300, 0.6, 1e-3))
+
+
+class TestMonotoneProperties:
+    """More excess noise never raises the unclipped rate, and more
+    transmittance never lowers the secure (clipped) key rate. Equal rates
+    are allowed up to rounding. Below zero the unclipped rate can fall with
+    transmittance, as the numeric oracle agrees: at n = 1, n_ex = 0.5 and
+    beta = 0.5 it is -1.520 at tau = 0.5 and -1.585 at tau = 1."""
+
+    @staticmethod
+    def _slack(*rates):
+        return 1e-12 * (1.0 + max(abs(r) for r in rates))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_n=st.floats(-2.0, 8.0), tau=st.floats(1e-4, 1.0),
+           n_ex=st.floats(0.0, 0.5), more=st.floats(1e-9, 0.5),
+           beta=st.floats(0.5, 1.0))
+    def test_rate_does_not_rise_with_excess_noise(self, log_n, tau, n_ex, more, beta):
+        n = 10.0 ** log_n
+        low = devetak_winter_rate(SkrInputs(n, tau, n_ex, beta))
+        high = devetak_winter_rate(SkrInputs(n, tau, n_ex + more, beta))
+        assert high <= low + self._slack(low, high)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_n=st.floats(-2.0, 8.0), tau=st.floats(1e-4, 1.0),
+           factor=st.floats(1e-4, 1.0), n_ex=st.floats(0.0, 0.02),
+           beta=st.floats(0.5, 1.0))
+    def test_rate_does_not_fall_with_transmittance(self, log_n, tau, factor, n_ex, beta):
+        n = 10.0 ** log_n
+        lower_tau = tau * factor
+        assume(lower_tau > 0.0)
+        low = secure_key_rate(SkrInputs(n, lower_tau, n_ex, beta))
+        high = secure_key_rate(SkrInputs(n, tau, n_ex, beta))
+        assert high >= low - self._slack(low, high)
 
 
 def _argmax_photon(tau: float, n_ex: float, beta: float = DEFAULT_BETA,

@@ -200,18 +200,38 @@ class TestOptimize:
         assert result.best_reward >= best[0]
 
     def test_failing_start_recovers_through_valid_episode(self):
-        # at 1e300 photons the key rate fails (conditional eigenvalue below
-        # vacuum); the wide photon exploration reaches valid episodes
+        # at 1e300 photons the key rate fails (the variances overflow); the
+        # wide photon exploration reaches valid episodes
         env = _small_env()
         policy = _policy(env, mean_photon=1e300, sigma=GroupSigmas(n=300.0))
         with pytest.raises(ArithmeticError):
             chain_reward(env, policy.decode(), chain_seed=0)
         result = optimize(env, policy, OptimizerConfig(batch_size=8, iterations=2,
-                                                       seed=4))
+                                                       seed=15))
         # the first batch has no valid episode either; the loop runs on
         assert result.trace[0].best_reward == -np.inf
         assert np.isfinite(result.best_reward)
         assert result.best_params.mean_photon < 1e100
+
+    def test_failing_start_keeps_negative_first_batch(self):
+        # here the first batch's valid episodes sit at huge photon numbers,
+        # where the estimated excess noise leaves no key
+        env = _small_env()
+        policy = _policy(env, mean_photon=1e300, sigma=GroupSigmas(n=300.0))
+        result = optimize(env, policy, OptimizerConfig(batch_size=8, iterations=2,
+                                                       seed=4))
+        assert -np.inf < result.trace[0].best_reward < 0.0
+        assert np.isfinite(result.best_reward)
+        assert result.best_params.mean_photon < 1e100
+
+    @pytest.mark.parametrize("mean_photon", [1e10, 1e20, 1e50])
+    def test_huge_photon_numbers_give_no_key(self, mean_photon):
+        # the excess noise estimated from the chain grows with n, so the
+        # rate falls far below zero instead of cancelling to a positive value
+        env = _small_env()
+        reward = chain_reward(env, _policy(env, mean_photon=mean_photon).decode(),
+                              chain_seed=0)
+        assert reward < -10.0
 
     def test_failing_start_without_valid_episode_raises(self):
         env = _small_env()
