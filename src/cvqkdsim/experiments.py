@@ -54,7 +54,6 @@ class SweepSpec:
     rolloff: float = 0.2
     reference: ReferencePoint = field(default_factory=ReferencePoint)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    warm_start: bool = True
     max_points: int = 4096
     symbol_rate: float | None = None  # Hz; enables bits/s reporting
     eval_num_symbols: int | None = None  # longer blocks for final evaluations
@@ -68,6 +67,13 @@ class SweepSpec:
             raise ValueError(f"unknown photon_mode {self.photon_mode!r}")
         if not self.mean_photon > 0:
             raise ValueError("mean_photon must be positive")
+        axes = {"bits-sweep": ["bits"], "taps-bits-grid": ["taps", "bits"],
+                "distance-sweep": ["distances_km"], "photon-scan": []}[self.kind]
+        if self.kind == "photon-scan" or self.resolved_photon_mode() == "scan":
+            axes.append("photon_grid")
+        empty = [name for name in axes if len(getattr(self, name)) == 0]
+        if empty:
+            raise ValueError(f"empty sweep axis {empty}")
 
     def resolved_photon_mode(self) -> str:
         """Distance sweeps pin the photon number; the other kinds scan it."""
@@ -76,14 +82,11 @@ class SweepSpec:
         return "fixed" if self.kind == "distance-sweep" else "scan"
 
     def grid_size(self) -> int:
+        if self.kind == "photon-scan":
+            return len(self.photon_grid)
         modes = 2 if self.mode == "both" else 1
-        if self.kind == "bits-sweep":
-            return len(self.bits) * modes
-        if self.kind == "taps-bits-grid":
-            return len(self.taps) * len(self.bits) * modes + 1
-        if self.kind == "distance-sweep":
-            return len(self.distances_km) * modes
-        return len(self.photon_grid)
+        reference = self.kind == "taps-bits-grid"
+        return len(list(_grid_points(self))) * modes + reference
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,6 @@ def photon_scan(env: LinkConfig, grid: list[float], h_tx=None, h_rx=None,
     return best, curve
 
 
-def _scan_best(env: LinkConfig, grid: list[float], h_tx, h_rx, beta: float) -> dict:
-    best, _ = photon_scan(env, grid, h_tx=h_tx, h_rx=h_rx, beta=beta)
-    return best["detail"]
-
-
 def _eval_env(spec: SweepSpec, env: LinkConfig) -> LinkConfig:
     if spec.eval_num_symbols is None:
         return env
@@ -176,25 +174,33 @@ def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
     out, best = max(scored, key=lambda pair: pair[0]["skr_bits_per_symbol"])
     out["rl_iterations"] = spec.optimizer.iterations
     out["rl_best_reward"] = opt.best_reward
-    warm = PolicyState.from_params(best, sigma=spec.optimizer.sigma_init)
-    return out, warm
+    return out, PolicyState.from_params(best, sigma=spec.optimizer.sigma_init)
 
 
-def _point_env(spec: SweepSpec, **overrides) -> LinkConfig:
-    return replace(spec.env, **overrides)
+def _anchor(spec: SweepSpec, env: LinkConfig, photon_mode: str) -> dict:
+    """The unoptimized point: the truncated-RRC pair at evaluation length,
+    at the best grid photon number or at the fixed one."""
+    env = _eval_env(spec, env)
+    h_tx, h_rx = baseline_filters(env, spec.rolloff)
+    if photon_mode == "scan":
+        best, _ = photon_scan(env, spec.photon_grid, h_tx=h_tx, h_rx=h_rx,
+                              beta=spec.optimizer.beta)
+        return best["detail"]
+    return _evaluate_point(env, TransceiverParams(h_tx, h_rx, spec.mean_photon),
+                           spec.optimizer.beta)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[RunRecord]:
-    """Evaluate every grid point of the sweep and return its records."""
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
+    """Evaluate every grid point of the sweep and return its records.
+
+    At most one anchor per grid point gives the unoptimized record and a
+    cold start's photon number; warm starts need the same filter lengths.
+    """
     size = spec.grid_size()
     if size > spec.max_points:
         raise BudgetError(
             f"sweep would evaluate {size} grid points, over the budget of "
             f"{spec.max_points}; shrink the axes or raise max_points")
-
-    modes = ["unoptimized", "optimized"] if spec.mode == "both" else [spec.mode]
-    photon_mode = spec.resolved_photon_mode()
-    records: list[RunRecord] = []
 
     if spec.kind == "photon-scan":
         env = _eval_env(spec, spec.env)
@@ -203,103 +209,72 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[RunRecor
         best, curve = photon_scan(env, spec.photon_grid, h_tx=h_tx, h_rx=h_rx,
                                   beta=spec.optimizer.beta)
         elapsed = time.perf_counter() - start
-        for row in curve:
-            records.append(RunRecord(
-                kind=spec.kind, config=_spec_snapshot(spec, n_photon=row["n_photon"]),
-                outputs={"n_photon": row["n_photon"],
-                         "skr_bits_per_symbol": row["skr_bits_per_symbol"],
-                         "argmax_n_photon": best["n_photon"],
-                         **_rate_fields(spec, row["skr_bits_per_symbol"])},
-                seed=spec.env.seed, wall_time_s=elapsed / len(curve)))
-            if progress is not None:
-                progress(records[-1])
-        return records
+        return [RunRecord(
+            kind=spec.kind, config=_spec_snapshot(spec, n_photon=row["n_photon"]),
+            outputs={"n_photon": row["n_photon"],
+                     "skr_bits_per_symbol": row["skr_bits_per_symbol"],
+                     "argmax_n_photon": best["n_photon"],
+                     **_rate_fields(spec, row["skr_bits_per_symbol"])},
+            seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
+    photon_mode = spec.resolved_photon_mode()
+    ref = None
     if spec.kind == "taps-bits-grid":
-        ref = _grid_reference(spec, photon_mode)
-    else:
-        ref = None
-
-    warm_policy: PolicyState | None = None
-    warm_len: tuple[int, int] | None = None
-    for point in _grid_points(spec):
-        env = _point_env(spec, **point["env_overrides"])
-        eval_env = _eval_env(spec, env)
-        h_tx, h_rx = baseline_filters(env, spec.rolloff)
+        quant = QuantizerSpec(bits=spec.reference.ref_bits)
+        ref = _anchor(spec, replace(spec.env, dac=quant, adc=quant,
+                                    tx_len=spec.reference.ref_taps,
+                                    rx_len=spec.reference.ref_taps), photon_mode)
+    modes = ["unoptimized", "optimized"] if spec.mode == "both" else [spec.mode]
+    records: list[RunRecord] = []
+    warm: PolicyState | None = None
+    for axis, env in _grid_points(spec):
+        start = time.perf_counter()
+        cold = warm is None or (len(warm.theta_tx), len(warm.theta_rx)) != \
+            (env.tx_len, env.rx_len)
+        # a warm start needs no anchor, and a fixed start may not evaluate
+        needed = spec.mode != "optimized" or (cold and photon_mode == "scan")
+        anchor = _anchor(spec, env, photon_mode) if needed else None
+        if cold and spec.mode != "unoptimized":
+            n = spec.mean_photon if anchor is None else anchor["mean_photon"]
+            warm = PolicyState.from_params(
+                TransceiverParams(*baseline_filters(env, spec.rolloff), n),
+                sigma=spec.optimizer.sigma_init)
         for mode in modes:
-            start = time.perf_counter()
-            if mode == "unoptimized":
-                if photon_mode == "scan":
-                    out = _scan_best(eval_env, spec.photon_grid, h_tx, h_rx,
-                                     spec.optimizer.beta)
-                else:
-                    out = _evaluate_point(
-                        eval_env, TransceiverParams(h_tx, h_rx, spec.mean_photon),
-                        spec.optimizer.beta)
-            else:
-                init_n = spec.mean_photon
-                if photon_mode == "scan":
-                    init_n = _scan_best(eval_env, spec.photon_grid, h_tx, h_rx,
-                                        spec.optimizer.beta)["mean_photon"]
-                shape = (len(h_tx), len(h_rx))
-                if spec.warm_start and warm_policy is not None and warm_len == shape:
-                    init = warm_policy
-                else:
-                    init = PolicyState.from_params(
-                        TransceiverParams(h_tx, h_rx, init_n),
-                        sigma=spec.optimizer.sigma_init)
-                out, warm_policy = _optimized_point(env, eval_env, spec, init,
-                                                    workers)
-                warm_len = shape
-            elapsed = time.perf_counter() - start
-            outputs = {**point["axis"], "mode": mode, **out,
+            out = anchor
+            if mode == "optimized":
+                out, warm = _optimized_point(env, _eval_env(spec, env), spec, warm,
+                                             workers)
+            now = time.perf_counter()
+            elapsed, start = now - start, now
+            outputs = {**axis, "mode": mode, **out,
                        **_rate_fields(spec, out["skr_bits_per_symbol"])}
             if ref is not None:
                 ref_skr = ref["skr_bits_per_symbol"]
                 outputs["gap"] = (ref_skr - out["skr_bits_per_symbol"]) / ref_skr
                 outputs["ref_skr_bits_per_symbol"] = ref_skr
             records.append(RunRecord(kind=spec.kind,
-                                     config=_spec_snapshot(spec, **point["axis"],
-                                                           mode=mode),
+                                     config=_spec_snapshot(spec, **axis, mode=mode),
                                      outputs=outputs, seed=env.seed,
                                      wall_time_s=elapsed))
-            if progress is not None:
-                progress(records[-1])
     return records
 
 
 def _grid_points(spec: SweepSpec):
+    """Yield the axis values and the link config of each grid point."""
     if spec.kind == "bits-sweep":
         for b in spec.bits:
             quant = QuantizerSpec(bits=int(b))
-            yield {"axis": {"bits": int(b)},
-                   "env_overrides": {"dac": quant, "adc": quant}}
+            yield {"bits": int(b)}, replace(spec.env, dac=quant, adc=quant)
     elif spec.kind == "distance-sweep":
         for d in spec.distances_km:
-            yield {"axis": {"distance_km": float(d)},
-                   "env_overrides": {"distance_km": float(d)}}
+            yield {"distance_km": float(d)}, replace(spec.env, distance_km=float(d))
     elif spec.kind == "taps-bits-grid":
         for taps in spec.taps:
             for b in spec.bits:
                 quant = QuantizerSpec(bits=int(b))
-                yield {"axis": {"taps": int(taps), "bits": int(b)},
-                       "env_overrides": {"dac": quant, "adc": quant,
-                                         "tx_len": int(taps), "rx_len": int(taps)}}
-    else:
-        raise ValueError(f"no grid for kind {spec.kind!r}")
-
-
-def _grid_reference(spec: SweepSpec, photon_mode: str) -> dict:
-    """Evaluate the near-ideal reference once per taps-bits sweep."""
-    quant = QuantizerSpec(bits=spec.reference.ref_bits)
-    env = _eval_env(spec, _point_env(spec, dac=quant, adc=quant,
-                                     tx_len=spec.reference.ref_taps,
-                                     rx_len=spec.reference.ref_taps))
-    h_tx, h_rx = baseline_filters(env, spec.rolloff)
-    if photon_mode == "scan":
-        return _scan_best(env, spec.photon_grid, h_tx, h_rx, spec.optimizer.beta)
-    return _evaluate_point(env, TransceiverParams(h_tx, h_rx, spec.mean_photon),
-                           spec.optimizer.beta)
+                yield ({"taps": int(taps), "bits": int(b)},
+                       replace(spec.env, dac=quant, adc=quant, tx_len=int(taps),
+                               rx_len=int(taps)))
 
 
 def _rate_fields(spec: SweepSpec, skr_bits_per_symbol: float) -> dict:

@@ -92,7 +92,13 @@ class PolicyState:
         return _decode(self.theta_tx, self.theta_rx, self.theta_log_n)
 
 
+_MAX_LOG_N = float(np.log(np.finfo(float).max))  # exp of anything above is inf
+
+
 def _decode(raw_tx: np.ndarray, raw_rx: np.ndarray, log_n: float) -> TransceiverParams:
+    if log_n > _MAX_LOG_N:
+        raise ValueError(f"photon coordinate log_n = {log_n:.6g} overflows the "
+                         "mean photon number")
     return TransceiverParams(
         h_tx=FirFilter(raw_tx).unit_energy(),
         h_rx=FirFilter(raw_rx).unit_energy(),

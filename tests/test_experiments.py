@@ -1,10 +1,10 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from cvqkdsim import cli
+from cvqkdsim import cli, experiments
 from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load_sweep_spec
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep,
@@ -55,6 +55,7 @@ class TestRunSweep:
         two = run_sweep(spec)
         assert one[0].outputs == two[0].outputs
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_does_not_abort_sweep(self):
         # the start at 1e300 photons fails in the optimizer and again as a
         # contender; the optimized point comes from a valid episode
@@ -67,6 +68,45 @@ class TestRunSweep:
         assert len(records) == 1
         assert np.isfinite(records[0].outputs["skr_bits_per_symbol"])
         assert records[0].outputs["mean_photon"] < 1e100
+
+    def test_at_most_one_scan_per_grid_point(self, monkeypatch):
+        calls = []
+        scan = experiments.photon_scan
+        monkeypatch.setattr(experiments, "photon_scan",
+                            lambda *a, **k: calls.append(1) or scan(*a, **k))
+        spec = SweepSpec(kind="bits-sweep", bits=[8, 10], env=_tiny_env(),
+                         photon_mode="scan", photon_grid=[1.0, 2.0, 4.0],
+                         optimizer=_tiny_optimizer())
+        runs = {}
+        # the second optimized point warm-starts and needs no start photon number
+        for mode, scans in [("unoptimized", 2), ("optimized", 1), ("both", 2)]:
+            calls.clear()
+            runs[mode] = run_sweep(replace(spec, mode=mode))
+            assert len(calls) == scans, mode
+        for mode in ("unoptimized", "optimized"):
+            assert [r.outputs for r in runs["both"] if r.outputs["mode"] == mode] \
+                == [r.outputs for r in runs[mode]]
+
+    @pytest.mark.parametrize("kind", ["bits-sweep", "photon-scan"])
+    def test_symbol_rate_adds_bits_per_second(self, kind):
+        spec = SweepSpec(kind=kind, bits=[10], photon_grid=[1.0, 2.0],
+                         env=_tiny_env(), mode="unoptimized", mean_photon=2.0,
+                         optimizer=_tiny_optimizer())
+        assert all("skr_bits_per_second" not in r.outputs for r in run_sweep(spec))
+        for rec in run_sweep(replace(spec, symbol_rate=1e8)):
+            assert rec.outputs["skr_bits_per_second"] == \
+                rec.outputs["skr_bits_per_symbol"] * 1e8
+
+    @pytest.mark.parametrize("kind,mode,size", [
+        ("bits-sweep", "both", 4), ("distance-sweep", "optimized", 3),
+        ("taps-bits-grid", "both", 9), ("taps-bits-grid", "unoptimized", 5),
+        ("photon-scan", "both", 5)])
+    def test_grid_size(self, kind, mode, size):
+        # the taps-bits grid adds its reference point
+        spec = SweepSpec(kind=kind, bits=[8, 10], taps=[11, 21],
+                         distances_km=[10.0, 20.0, 30.0],
+                         photon_grid=[1.0, 2.0, 3.0, 4.0, 5.0], mode=mode)
+        assert spec.grid_size() == size
 
     def test_budget_refusal_names_cost(self):
         spec = SweepSpec(kind="bits-sween" if False else "bits-sweep",
@@ -303,6 +343,40 @@ class TestCli:
         assert cli.main(["optimize", "--config", str(cfg),
                          "--out", str(tmp_path / "trace.csv")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_removed_sweep_key_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "bits-sweep", "bits": [8],
+                                    "warm_start": True}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "warm_start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axes,empty", [
+        ({"kind": "bits-sweep", "bits": []}, "bits"),
+        ({"kind": "taps-bits-grid", "taps": []}, "taps"),
+        ({"kind": "taps-bits-grid", "bits": []}, "bits"),
+        ({"kind": "distance-sweep", "distances_km": []}, "distances_km"),
+        ({"kind": "photon-scan", "photon_grid": []}, "photon_grid"),
+        ({"kind": "photon-scan", "photon_mode": "fixed", "photon_grid": []},
+         "photon_grid"),
+        ({"kind": "bits-sweep", "photon_grid": []}, "photon_grid"),
+        ({"kind": "distance-sweep", "photon_mode": "scan", "photon_grid": []},
+         "photon_grid")])
+    def test_empty_sweep_axis_is_config_error(self, tmp_path, capsys, axes,
+                                              empty):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            **axes, "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21}}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert empty in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unused_empty_photon_grid_is_allowed(self):
+        # a fixed photon number never reads the grid
+        SweepSpec(kind="distance-sweep", photon_grid=[])
+        SweepSpec(kind="bits-sweep", photon_mode="fixed", photon_grid=[])
 
     def test_budget_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

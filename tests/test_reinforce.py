@@ -56,6 +56,17 @@ class TestSampleEpisode:
         spread = (max(rewards) - min(rewards)) / abs(np.mean(rewards))
         assert spread < 0.01
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_photon_coordinate_is_a_failed_episode(self):
+        env = _small_env()
+        policy = replace(_policy(env, sigma=GroupSigmas(tx=0.0, rx=0.0, n=0.0)),
+                         theta_log_n=800.0)
+        with pytest.raises(ValueError, match="log_n = 800"):
+            policy.decode()
+        ep = sample_episode(policy, env, episode_seed=1,
+                            config=OptimizerConfig(batch_size=2, iterations=1))
+        assert ep.params is None and "log_n" in ep.error
+
 
 class TestReinforceUpdate:
     def _batch(self, policy, rewards, seed=0):
@@ -199,6 +210,7 @@ class TestOptimize:
         assert all(b >= a for a, b in zip(best, best[1:]))
         assert result.best_reward >= best[0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_recovers_through_valid_episode(self):
         # at 1e300 photons the key rate fails (the variances overflow); the
         # wide photon exploration reaches valid episodes
@@ -213,6 +225,7 @@ class TestOptimize:
         assert np.isfinite(result.best_reward)
         assert result.best_params.mean_photon < 1e100
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_keeps_negative_first_batch(self):
         # here the first batch's valid episodes sit at huge photon numbers,
         # where the estimated excess noise leaves no key
