@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import signal as _sig
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,35 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
     return out
 
 
+# np.convolve has an unrolled loop for kernels of up to 11 taps; there its two
+# real passes beat one overlap-save pass over the complex signal at 10k-400k
+# samples, and from 12 taps on the overlap-save pass wins
+_FFT_MIN_TAPS = 12
+
+
 def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Full linear convolution of a signal with an FIR filter.
 
-    The chain calls it only through ``interpolate``, once per rail and
-    tx phase row; the LPF and rx filter run through ``decimate``.
+    The method depends only on the filter length. Below ``_FFT_MIN_TAPS``
+    taps each real rail runs through ``np.convolve``; from there on the
+    (complex) signal runs once through ``decimate`` at one sample per output,
+    which is overlap-save, so both rails share one FFT. A real input gives a
+    real output. The chain calls it for the LPF and, through
+    ``interpolate``, for each tx tap row; the rx filter runs through
+    ``decimate``.
     """
+    sig = np.asarray(sig)
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
-    return _sig.convolve(sig, fir.taps, mode="full", method="auto")
+    if len(fir) < _FFT_MIN_TAPS:
+        if not np.iscomplexobj(sig):
+            return np.convolve(sig, fir.taps)
+        out = np.empty(len(sig) + len(fir) - 1, dtype=complex)
+        out.real = np.convolve(sig.real, fir.taps)
+        out.imag = np.convolve(sig.imag, fir.taps)
+        return out
+    out = decimate((sig,), fir.taps, 1, 0, len(sig) + len(fir) - 1)[0]
+    return out if np.iscomplexobj(sig) else out.real
 
 
 def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
@@ -95,11 +114,12 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
 
     Polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
     output sample ``q*sps + p`` is the convolution of the symbols with tap
-    row ``taps[p::sps]`` at ``q``. Each real rail is filtered by each row
-    through ``convolve`` (scipy's ``method="auto"``, direct for short
-    rows), and the result is written into the strided phase view of one
-    output array. The output is complex, as ``upsample`` makes it; a real
-    input's imaginary rail is zero.
+    row ``taps[p::sps]`` at ``q``, written into the strided phase view of
+    one output array. A row shorter than ``_FFT_MIN_TAPS`` filters each real
+    rail through ``convolve`` (direct) and writes it into the view's rail; a
+    longer row filters the complex symbols in one ``convolve`` call (one
+    FFT for both rails). The output is complex, as ``upsample`` makes it; a
+    real input's imaginary rail is zero.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -111,10 +131,14 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     out = np.zeros(n * sps + len(taps) - 1, dtype=complex)
     for p in range(min(sps, len(taps))):
         row = FirFilter(taps[p::sps])
-        for rail, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
-            # a phase view is one sample longer than its row's output when
-            # sps divides len(taps) - p; that sample stays zero
-            dest[p::sps][:n + len(row) - 1] = convolve(rail, row)
+        # a phase view is one sample longer than its row's output when
+        # sps divides len(taps) - p; that sample stays zero
+        kept = n + len(row) - 1
+        if len(row) < _FFT_MIN_TAPS:
+            out.real[p::sps][:kept] = convolve(symbols.real, row)
+            out.imag[p::sps][:kept] = convolve(symbols.imag, row)
+        else:
+            out[p::sps][:kept] = convolve(symbols, row)
     return out
 
 
@@ -138,7 +162,9 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     summed, and one batched inverse FFT per signal yields the kept samples.
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(s) + len(taps) - 1`` gives the full
-    convolution. All signals must have the same length.
+    convolution. Frames inside a signal are read through a view; only those
+    that reach past an end are copied and zero-padded. All signals must
+    have the same length.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -162,31 +188,36 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     padded = np.zeros(rows * sps)
     padded[:len(taps)] = taps
     tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
-    length = kept + rows - 1  # phase-row samples that reach a kept output
-    lo = start - (rows - 1) * sps - (sps - 1)
-    hi = lo + length * sps
+    lo = start - (rows - 1) * sps - (sps - 1)  # signal index of phase sample 0
     whole = (num_frames - 1) * step  # outputs of all frames but the last
+    # the frames f in [first, stop) lie inside the signal and are windows of
+    # one view; the others (the last, and those that reach past an end) are
+    # cut one by one, so only they are copied and zero-padded
+    inside_lo = -(-max(-lo, 0) // sps)  # first phase sample inside, every row
+    inside_hi = (n - lo) // sps  # one past the last
+    first = -(-inside_lo // step)
+    stop = min(num_frames - 1, max(first, (inside_hi - frame) // step + 1))
+    edges = [f for f in range(num_frames) if not first <= f < stop]
     out = []
     for sig in signals:
-        if 0 <= lo and hi <= n:
-            block = sig[lo:hi]
-        else:  # the rows reach past an end of the signal: pad with zeros
-            block = np.zeros(hi - lo, dtype=sig.dtype)
-            block[max(lo, 0) - lo:min(hi, n) - lo] = sig[max(lo, 0):min(hi, n)]
-        # column r of the reversed (length, sps) view is phase row r
-        phases = block.reshape(length, sps)[:, ::-1]
+        inner = _phase_rows(sig, lo, sps, first * step, (stop - 1) * step + frame) \
+            if stop > first else None
+        pieces = [_phase_rows(sig, lo, sps, s, s + frame)
+                  for s in (min(f * step, kept - step) for f in edges)]
         for r in range(sps):
-            windows = np.lib.stride_tricks.sliding_window_view(phases[:, r], frame)
             spectra = np.zeros((num_frames, nfft), dtype=complex)
-            spectra[:-1, :frame] = windows[:whole:step]
-            spectra[-1, :frame] = windows[kept - step]
+            if inner is not None:
+                windows = np.lib.stride_tricks.sliding_window_view(inner[:, r], frame)
+                spectra[first:stop, :frame] = windows[::step]
+            for f, piece in zip(edges, pieces):
+                spectra[f, :frame] = piece[:, r]
             spectra = _fft.fft(spectra, axis=-1, overwrite_x=True)
             spectra *= tap_spectra[r]
             if r == 0:
                 total = spectra
             else:
                 total += spectra
-        del block, phases, windows, spectra
+        del inner, pieces, spectra
         kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:frame]
         del total
         result = np.empty(kept, dtype=complex)
@@ -194,6 +225,20 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
         result[whole:] = kept_rows[-1, step - (kept - whole):]
         out.append(result)
     return out
+
+
+def _phase_rows(sig: np.ndarray, lo: int, sps: int, a: int, b: int) -> np.ndarray:
+    """Phase samples ``a:b`` of ``decimate``'s phase rows as a ``(b - a, sps)``
+    array whose column r is phase row r: a view of ``sig`` where the samples
+    lie inside it, else a copy padded with zeros."""
+    s0, s1 = lo + a * sps, lo + b * sps
+    if 0 <= s0 and s1 <= len(sig):
+        chunk = sig[s0:s1]
+    else:
+        chunk = np.zeros(s1 - s0, dtype=sig.dtype)
+        i0, i1 = (min(max(s, 0), len(sig)) for s in (s0, s1))
+        chunk[i0 - s0:i1 - s0] = sig[i0:i1]
+    return chunk.reshape(b - a, sps)[:, ::-1]
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

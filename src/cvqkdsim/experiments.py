@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
 
     At most one anchor per grid point gives the unoptimized record and a
     cold start's photon number; warm starts need the same filter lengths.
+    Anchors are kept by link config, so a taps-bits reference that is also
+    a grid point is evaluated once.
     """
     size = spec.grid_size()
     if size > spec.max_points:
@@ -218,12 +221,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
             seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
     photon_mode = spec.resolved_photon_mode()
+
+    @cache
+    def anchor_of(env: LinkConfig) -> dict:
+        return _anchor(spec, env, photon_mode)
+
     ref = None
     if spec.kind == "taps-bits-grid":
         quant = QuantizerSpec(bits=spec.reference.ref_bits)
-        ref = _anchor(spec, replace(spec.env, dac=quant, adc=quant,
-                                    tx_len=spec.reference.ref_taps,
-                                    rx_len=spec.reference.ref_taps), photon_mode)
+        ref = anchor_of(replace(spec.env, dac=quant, adc=quant,
+                                tx_len=spec.reference.ref_taps,
+                                rx_len=spec.reference.ref_taps))
     modes = ["unoptimized", "optimized"] if spec.mode == "both" else [spec.mode]
     records: list[RunRecord] = []
     warm: PolicyState | None = None
@@ -233,7 +241,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
             (env.tx_len, env.rx_len)
         # a warm start needs no anchor, and a fixed start may not evaluate
         needed = spec.mode != "optimized" or (cold and photon_mode == "scan")
-        anchor = _anchor(spec, env, photon_mode) if needed else None
+        anchor = anchor_of(env) if needed else None
         if cold and spec.mode != "unoptimized":
             n = spec.mean_photon if anchor is None else anchor["mean_photon"]
             warm = PolicyState.from_params(

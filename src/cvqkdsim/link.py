@@ -148,12 +148,12 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> tx FIR at sps samples per symbol -> DAC -> LPF ->
-    sqrt(tau_ch) loss -> ADC -> rx FIR. The tx FIR is the polyphase
-    interpolator, which filters the symbols with the tap rows directly
-    instead of the zero-stuffed samples; the LPF is filtered full-length by
-    the FFT decimator at one sample per output, and the rx FIR by the same
-    routine, evaluated only at the symbol-spaced outputs from the response
-    peak on. Each stage's input is released once the next stage has it.
+    sqrt(tau_ch) loss -> ADC -> rx FIR. The tx FIR is ``dsp.interpolate``,
+    which filters the symbols with the tap rows instead of the zero-stuffed
+    samples; the LPF is filtered full-length by ``dsp.convolve`` (overlap-save
+    at its 257 taps), and the rx FIR by ``dsp.decimate``, evaluated only at
+    the symbol-spaced outputs from the response peak on. Each stage's input
+    is released once the next stage has it.
     Converter full scales are frozen from their unquantized inputs. The DAC
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
@@ -177,8 +177,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         dac_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
     del shaped
 
-    attenuated = dsp.decimate((after_dac,), lpf.taps, 1, 0,
-                              len(after_dac) + len(lpf) - 1)[0]
+    attenuated = dsp.convolve(after_dac, lpf)
     del after_dac
     attenuated *= np.sqrt(config.channel_transmittance)
 

@@ -99,17 +99,22 @@ def random_physical_covariance(rng: np.random.Generator):
     return a, b, c, dict(mean_photon=mean_photon, tau=tau, n_ex=n_ex)
 
 
+def reference_convolve(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Full linear convolution, summed directly."""
+    return _sig.convolve(sig, taps, mode="full", method="direct")
+
+
 def reference_decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
                        count: int) -> np.ndarray:
     """Full-rate convolution, then every ``sps``-th output from ``start``."""
-    return _sig.convolve(sig, taps, mode="full", method="direct")[start::sps][:count]
+    return reference_convolve(sig, taps)[start::sps][:count]
 
 
 def reference_interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     """Zero-stuff to ``sps`` samples per symbol, then convolve directly."""
     stuffed = np.zeros(len(symbols) * sps, dtype=complex)
     stuffed[::sps] = symbols
-    return _sig.convolve(stuffed, taps, mode="full", method="direct")
+    return reference_convolve(stuffed, taps)
 
 
 def _reference_rails(sig: np.ndarray) -> np.ndarray:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_decimate, reference_interpolate
+from oracles import reference_convolve, reference_decimate, reference_interpolate
 
-from cvqkdsim.dsp import (FirFilter, convolve, decimate, downsample,
+from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, convolve, decimate, downsample,
                           frequency_response, generate_symbols, interpolate,
                           rrc_filter, super_gaussian_lpf, truncate_taps,
                           truncated_rrc, upsample)
 from cvqkdsim.link import LinkConfig, baseline_filters
-from cvqkdsim.quantization import full_scale
+from cvqkdsim.quantization import QuantizerSpec, full_scale
 
 
 class TestGenerateSymbols:
@@ -129,6 +129,38 @@ class TestConvolve:
         out = convolve(impulse, FirFilter(taps))
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(taps**2), abs=1e-12)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000),
+           num_taps=st.integers(1, 2 * _FFT_MIN_TAPS) | st.integers(1, 1200),
+           complex_signal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=3000, num_taps=1001, complex_signal=True, seed=11)
+    def test_property_matches_oracle(self, n, num_taps, complex_signal, seed):
+        # filters on both sides of _FFT_MIN_TAPS: direct below it, overlap-save
+        # from it on; the example has the chain's 1001-tap reference filter
+        rng = np.random.default_rng(seed)
+        sig = rng.normal(size=n)
+        if complex_signal:
+            sig = sig + 1j * rng.normal(size=n)
+        taps = rng.normal(size=num_taps)
+        want = reference_convolve(sig, taps)
+        got = convolve(sig, FirFilter(taps))
+        assert got.shape == want.shape
+        assert np.iscomplexobj(got) == complex_signal
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("num_taps", [1, 3, _FFT_MIN_TAPS - 1])
+    def test_short_filters_are_np_convolve_bit_for_bit(self, num_taps):
+        # the 2/3-tap rows of the default 11-tap tx filter take this path;
+        # equal bits keep those chains byte-identical to scipy's direct sum
+        rng = np.random.default_rng(num_taps)
+        sig = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
+        taps = rng.normal(size=num_taps)
+        got = convolve(sig, FirFilter(taps))
+        np.testing.assert_array_equal(got.real, np.convolve(sig.real, taps))
+        np.testing.assert_array_equal(got.imag, np.convolve(sig.imag, taps))
+        np.testing.assert_array_equal(convolve(sig.real, FirFilter(taps)),
+                                      np.convolve(sig.real, taps))
+
 
 class TestDecimate:
     """decimate returns convolve(s, taps)[start::sps][:count]: the same
@@ -222,9 +254,11 @@ class TestInterpolate:
            sps=st.integers(1, 8), complex_symbols=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @example(n=257, num_taps=101, sps=4, complex_symbols=True, seed=5)
+    @example(n=300, num_taps=1001, sps=4, complex_symbols=True, seed=6)
     def test_property_matches_oracle(self, n, num_taps, sps, complex_symbols, seed):
         # num_taps < sps leaves whole phases of the output at zero; the
-        # example has the 25/26-tap rows of a 101-tap filter
+        # examples have the 25/26-tap rows of a 101-tap filter and the
+        # 250/251-tap rows of the 1001-tap reference filter
         rng = np.random.default_rng(seed)
         symbols = rng.normal(size=n)
         if complex_symbols:
@@ -246,19 +280,30 @@ class TestInterpolate:
         # the DAC quantizes the tx output, so rounding differences between
         # the two convolution forms could flip a level; at 11 taps and
         # 10 bits none does
-        config = LinkConfig(num_symbols=10_000, seed=seed)
-        h_tx, _ = baseline_filters(config)
-        symbols = generate_symbols(config.num_symbols, 2.0, seed)
-        half_levels = 1 << (config.dac.bits - 1)
+        _assert_dac_levels_match_oracle_path(LinkConfig(num_symbols=10_000, seed=seed))
 
-        def levels(shaped):
-            delta = config.dac.step(full_scale(shaped, config.dac))
-            idx = np.floor(shaped.view(float) / delta)
-            return np.clip(idx, -half_levels, half_levels - 1)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reference_chain_dac_levels_match_oracle_path(self, seed):
+        # the 1001-tap, 16-bit reference point: its tap rows run through the
+        # FFT, and no level of the finer DAC flips either
+        quant = QuantizerSpec(bits=16)
+        _assert_dac_levels_match_oracle_path(LinkConfig(
+            num_symbols=10_000, seed=seed, tx_len=1001, rx_len=1001, dac=quant, adc=quant))
 
-        got = levels(interpolate(symbols, h_tx.taps, config.sps))
-        want = levels(reference_interpolate(symbols, h_tx.taps, config.sps))
-        np.testing.assert_array_equal(got, want)
+
+def _assert_dac_levels_match_oracle_path(config: LinkConfig) -> None:
+    h_tx, _ = baseline_filters(config)
+    symbols = generate_symbols(config.num_symbols, 2.0, config.seed)
+    half_levels = 1 << (config.dac.bits - 1)
+
+    def levels(shaped):
+        delta = config.dac.step(full_scale(shaped, config.dac))
+        idx = np.floor(shaped.view(float) / delta)
+        return np.clip(idx, -half_levels, half_levels - 1)
+
+    got = levels(interpolate(symbols, h_tx.taps, config.sps))
+    want = levels(reference_interpolate(symbols, h_tx.taps, config.sps))
+    np.testing.assert_array_equal(got, want)
 
 
 def _cascade_isi(h: FirFilter, sps: int) -> tuple[float, float]:

@@ -137,6 +137,32 @@ class TestRunSweep:
         csv = (tmp_path / "taps-bits-grid.csv").read_text().splitlines()
         assert csv[0] == "taps,bits,mode,skr_bits_per_symbol,gap,seed"
 
+    def test_reference_on_the_grid_is_scanned_once(self, monkeypatch):
+        calls = []
+        scan = experiments.photon_scan
+        monkeypatch.setattr(experiments, "photon_scan",
+                            lambda *a, **k: calls.append(1) or scan(*a, **k))
+        spec = SweepSpec(kind="taps-bits-grid", taps=[21, 31], bits=[12],
+                         env=_tiny_env(num_symbols=4_000),
+                         mode="unoptimized", photon_mode="scan",
+                         reference=ReferencePoint(ref_taps=31, ref_bits=12),
+                         optimizer=_tiny_optimizer())
+        records = run_sweep(spec)
+        assert len(calls) == 2  # one per grid point; the 31-tap one is the reference
+        # each record holds its point's anchor, evaluated on its own
+        quant = QuantizerSpec(bits=12)
+        anchors = {taps: experiments._anchor(spec, replace(spec.env, dac=quant, adc=quant,
+                                                           tx_len=taps, rx_len=taps),
+                                             "scan")
+                   for taps in (21, 31)}
+        ref_skr = anchors[31]["skr_bits_per_symbol"]
+        for rec in records:
+            anchor = anchors[rec.outputs["taps"]]
+            assert rec.outputs == {"taps": rec.outputs["taps"], "bits": 12,
+                                   "mode": "unoptimized", **anchor,
+                                   "gap": (ref_skr - anchor["skr_bits_per_symbol"]) / ref_skr,
+                                   "ref_skr_bits_per_symbol": ref_skr}
+
 
 class TestPhotonScan:
     def test_noiseless_scan_is_monotone(self):
