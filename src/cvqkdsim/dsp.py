@@ -8,6 +8,7 @@ processed as two independent real rails through real-tapped filters.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,17 +56,33 @@ def generate_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
 
     Each real quadrature has variance ``mean_photon / 2`` so that
     E[|x|^2] = mean_photon. Deterministic for a fixed seed.
+
+    The standard-normal block of ``(count, seed)`` is drawn once and shared
+    by consecutive calls with the same pair (an optimizer batch runs all its
+    episodes on one chain seed), and each call scales it into a fresh array.
+    ``Generator.normal(0, s)`` computes ``0 + s * z`` from the same stream of
+    z, so the symbols are bit-identical to per-call ``normal`` draws.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(mean_photon / 2.0)
     out = np.empty(count, dtype=complex)
-    out.real = rng.normal(0.0, scale, count)
-    out.imag = rng.normal(0.0, scale, count)
+    np.multiply(_standard_block(count, seed).view(float), np.sqrt(mean_photon / 2.0),
+                out=out.view(float))
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _standard_block(count: int, seed: int) -> np.ndarray:
+    """Read-only unit-variance rails of ``generate_symbols``: ``count`` real
+    then ``count`` imaginary standard normals from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    block = np.empty(count, dtype=complex)
+    block.real = rng.standard_normal(count)
+    block.imag = rng.standard_normal(count)
+    block.flags.writeable = False
+    return block
 
 
 def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
@@ -290,6 +307,7 @@ def truncated_rrc(num_taps: int, rolloff: float = 0.2, sps: int = 4) -> FirFilte
     return truncate_taps(rrc_filter(rolloff, span, sps), num_taps)
 
 
+@functools.lru_cache(maxsize=8)
 def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
                        num_taps: int = 257, sps: int = 4) -> FirFilter:
     """Linear-phase FIR realization of a super-Gaussian low-pass response.
@@ -298,6 +316,11 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
     f3dB = bandwidth_norm in units of the symbol rate, realized by frequency
     sampling, inverse transform and symmetric truncation. The peak is
     normalized to 1 at DC, so |H(f3dB)|^2 = 1/2 up to truncation error.
+
+    The design depends on its arguments alone, so it is memoized: every
+    chain of a config shares one filter instead of redoing the inverse
+    transform. Its taps are read-only, so no caller can change the filter
+    that the others get.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -313,6 +336,7 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
     half = (num_taps - 1) // 2
     taps = h[grid // 2 - half: grid // 2 + half + 1]
     taps = taps / np.sum(taps)  # unit DC gain
+    taps.flags.writeable = False
     return FirFilter(taps)
 
 

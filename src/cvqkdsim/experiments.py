@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
 from .link import LinkConfig, baseline_filters, estimate_parameters, run_chain
@@ -316,7 +318,11 @@ def _fmt(value) -> str:
 
 
 def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
-    """Write one fixed-schema CSV per sweep kind plus a run manifest."""
+    """Write one fixed-schema CSV per sweep kind plus a run manifest.
+
+    The manifest lists the kinds, seeds and configs of the records and the
+    Python, numpy and scipy versions that wrote them.
+    """
     if not records:
         raise ValueError("no records to report")
     out = Path(out_dir)
@@ -343,6 +349,8 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
         "num_records": len(records),
         "seeds": sorted({rec.seed for rec in records}),
         "configs": [rec.config for rec in records],
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -66,6 +66,9 @@ class LinkConfig:
         return float(10.0 ** (-self.attenuation_db_per_km * self.distance_km / 10.0))
 
     def lpf_filter(self) -> FirFilter:
+        """The analog front end's LPF at ``sps`` samples per symbol: one
+        shared, read-only filter per LPF config (``super_gaussian_lpf`` is
+        memoized)."""
         return dsp.super_gaussian_lpf(self.lpf.order, self.lpf.bandwidth_norm,
                                       self.lpf.num_taps, self.sps)
 
@@ -206,8 +209,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     tx, rx, rx_ref = tx[sl], rx[sl], rx_ref[sl]
 
     adc_report = QuantizationReport(
-        noise_power=float(np.mean(np.abs(rx - rx_ref) ** 2)),
-        clip_fraction=adc_clip)
+        noise_power=measure_noise(rx, rx_ref).noise_power, clip_fraction=adc_clip)
     return ChainResult(tx_symbols=tx, rx_symbols=rx, dac_report=dac_report,
                        adc_report=adc_report, isi=isi)
 

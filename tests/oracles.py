@@ -117,6 +117,18 @@ def reference_interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np
     return reference_convolve(stuffed, taps)
 
 
+def reference_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
+    """Per-call ``normal`` draws: the real rail, then the imaginary rail."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(mean_photon / 2.0)
+    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
+
+
+def reference_noise_power(quantized: np.ndarray, reference: np.ndarray) -> float:
+    """E|q - x|^2 per sample through the complex difference and ``abs``."""
+    return float(np.mean(np.abs(quantized - reference) ** 2))
+
+
 def _reference_rails(sig: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(sig):
         return np.concatenate([sig.real, sig.imag])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_convolve, reference_decimate, reference_interpolate
+from oracles import (reference_convolve, reference_decimate, reference_interpolate,
+                     reference_symbols)
 
 from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, convolve, decimate, downsample,
                           frequency_response, generate_symbols, interpolate,
@@ -28,10 +29,26 @@ class TestGenerateSymbols:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_bits_as_real_plus_j_imag(self, seed):
-        rng = np.random.default_rng(seed)
-        scale = np.sqrt(1.7 / 2.0)
-        want = rng.normal(0.0, scale, 1001) + 1j * rng.normal(0.0, scale, 1001)
+        want = reference_symbols(1001, 1.7, seed)
         assert generate_symbols(1001, 1.7, seed).tobytes() == want.tobytes()
+
+    def test_interleaved_calls_match_oracle(self):
+        # the shared standard-normal block is keyed on (count, seed) and
+        # only ever scaled: repeats, switches and returns all give the
+        # per-call draws
+        calls = [(1001, 3, 1.7), (1001, 3, 0.2), (1001, 4, 1.7), (1001, 3, 5.0),
+                 (500, 3, 1.7), (1001, 3, 1.7), (1, 3, 1e-6), (1001, 4, 3e300)]
+        for count, seed, n in calls:
+            want = reference_symbols(count, n, seed)
+            assert generate_symbols(count, n, seed).tobytes() == want.tobytes()
+
+    def test_mutating_a_draw_leaves_the_next_unchanged(self):
+        first = generate_symbols(257, 2.0, seed=9)
+        assert first.flags.writeable
+        first[:] = 0.0
+        second = generate_symbols(257, 2.0, seed=9)
+        assert second.tobytes() == reference_symbols(257, 2.0, 9).tobytes()
+        assert second is not first
 
     def test_deterministic_for_fixed_seed(self):
         one = generate_symbols(1, 6.0, seed=7)
@@ -373,6 +390,19 @@ class TestSuperGaussianLpf:
     def test_symmetric_taps(self):
         h = super_gaussian_lpf()
         np.testing.assert_allclose(h.taps, h.taps[::-1], atol=1e-12)
+
+    def test_one_shared_read_only_design(self):
+        # every chain of a config gets the same filter; no caller can
+        # change the taps the others see
+        h = LinkConfig().lpf_filter()
+        assert LinkConfig(seed=5, num_symbols=10).lpf_filter() is h
+        assert np.array_equal(h.taps, super_gaussian_lpf(order=4, bandwidth_norm=0.75,
+                                                         num_taps=257, sps=4).taps)
+        assert not h.taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h.taps[0] = 1.0
+        assert super_gaussian_lpf(order=4, bandwidth_norm=0.5, num_taps=257,
+                                  sps=4) is not h
 
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import json
+import platform
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments
 from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load_sweep_spec
@@ -27,6 +31,49 @@ def _tiny_optimizer(**overrides):
                     sigma_init=GroupSigmas(tx=0.02, rx=0.02, n=0.05))
     defaults.update(overrides)
     return OptimizerConfig(**defaults)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_fraction = st.floats(0.0, 1.0)
+_count = st.integers(1, 2**31)
+_quantizer = st.builds(QuantizerSpec, bits=st.integers(1, 62), clipping_factor=_positive)
+_lpf = st.builds(LpfConfig, order=st.integers(), bandwidth_norm=_finite,
+                num_taps=st.integers())
+_link = st.builds(
+    LinkConfig, distance_km=_non_negative, attenuation_db_per_km=_finite,
+    channel_excess_photons=_non_negative, sps=st.integers(1, 64), lpf=_lpf,
+    dac=st.none() | _quantizer, adc=st.none() | _quantizer, tx_len=_count,
+    rx_len=_count, num_symbols=_count, seed=st.integers(0, 2**64 - 1))
+_optimizer = st.builds(
+    OptimizerConfig, batch_size=st.integers(2, 2**31),
+    learning_rate=st.builds(GroupRates, tx=_positive, rx=_positive, n=_positive),
+    iterations=st.integers(0, 2**31),
+    sigma_init=st.builds(GroupSigmas, tx=_positive, rx=_positive, n=_positive),
+    sigma_decay=st.floats(0.0, 1.0, exclude_min=True), sigma_floor=_non_negative,
+    baseline_decay=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**64 - 1), beta=_fraction)
+_reference = st.builds(ReferencePoint, ref_taps=_count, ref_bits=st.integers(1, 62))
+# every sweep axis non-empty, so that each kind and photon mode is valid
+_VALID = {
+    "LinkConfig": _link, "LpfConfig": _lpf,
+    "QuantizerSpec": _quantizer, "OptimizerConfig": _optimizer,
+    "GroupSigmas": st.builds(GroupSigmas, tx=_finite, rx=_finite, n=_finite),
+    "GroupRates": st.builds(GroupRates, tx=_finite, rx=_finite, n=_finite),
+    "ReferencePoint": _reference,
+    "SweepSpec": st.builds(
+        SweepSpec, kind=st.sampled_from(experiments.SWEEP_KINDS),
+        bits=st.lists(st.integers(1, 62), min_size=1, max_size=4),
+        taps=st.lists(_count, min_size=1, max_size=4),
+        distances_km=st.lists(_non_negative, min_size=1, max_size=4),
+        photon_grid=st.lists(_positive, min_size=1, max_size=4), env=_link,
+        mode=st.sampled_from(["unoptimized", "optimized", "both"]),
+        photon_mode=st.sampled_from([None, "fixed", "scan"]), mean_photon=_positive,
+        rolloff=st.floats(0.0, 1.0, exclude_min=True), reference=_reference,
+        optimizer=_optimizer, max_points=_count, symbol_rate=st.none() | _positive,
+        eval_num_symbols=st.none() | _count),
+}
 
 
 class TestRunSweep:
@@ -55,7 +102,6 @@ class TestRunSweep:
         two = run_sweep(spec)
         assert one[0].outputs == two[0].outputs
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_does_not_abort_sweep(self):
         # the start at 1e300 photons fails in the optimizer and again as a
         # contender; the optimized point comes from a valid episode
@@ -238,6 +284,9 @@ class TestReport:
         assert manifest["artifact_version"] == "0.1.0"
         assert manifest["num_records"] == 2
         assert manifest["configs"]
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__,
+                                        "scipy": scipy.__version__}
 
 
 class TestConfigLoading:
@@ -281,6 +330,15 @@ class TestConfigLoading:
         ids=lambda d: type(d).__name__)
     def test_default_round_trips_through_dict(self, default):
         assert dataclass_from_dict(type(default), asdict(default)) == default
+
+    @pytest.mark.parametrize("name", sorted(_VALID))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_valid_instances_round_trip_through_dict(self, name, data):
+        # also through JSON text, as a config file holds them
+        value = data.draw(_VALID[name])
+        for doc in (asdict(value), json.loads(json.dumps(asdict(value)))):
+            assert dataclass_from_dict(type(value), doc) == value
 
     def test_sweep_spec_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"

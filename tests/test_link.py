@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
-from cvqkdsim.link import (IsiProfile, LinkConfig, assemble_budget,
+from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, assemble_budget,
                            baseline_filters, effective_response,
                            estimate_parameters, run_chain)
 from cvqkdsim.quantization import QuantizationReport, QuantizerSpec
@@ -112,7 +114,8 @@ class TestRunChain:
     @pytest.mark.parametrize("bypass", [{}, {"dac": None, "adc": None}],
                              ids=["converters", "no_converters"])
     def test_rejects_nonfinite_output(self, bypass):
-        # the chain's one finite check, at its output
+        # caught by the DAC's full scale, or without converters by the
+        # chain's finite check at its output
         cfg = LinkConfig(num_symbols=5_000, tx_len=11, rx_len=41, **bypass)
         h_tx, h_rx = baseline_filters(cfg)
         with pytest.raises(ValueError, match="non-finite"):
@@ -123,6 +126,40 @@ class TestRunChain:
         h_tx, h_rx = baseline_filters(cfg)
         with pytest.raises(ValueError):
             run_chain(cfg, h_tx, h_rx, 6.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(num_symbols=st.integers(1_500, 4_000), sps=st.sampled_from([2, 4]),
+           tx_len=st.integers(1, 41), rx_len=st.integers(1, 61),
+           lpf_taps=st.sampled_from([33, 65, 257]),
+           bits=st.one_of(st.none(), st.integers(3, 14)),
+           distance_km=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1),
+           n0=st.floats(0.05, 20.0), n=st.floats(0.01, 100.0))
+    def test_homogeneous_in_amplitude(self, num_symbols, sps, tx_len, rx_len,
+                                      lpf_taps, bits, distance_km, seed, n0, n):
+        # the symbol draw is one standard-normal block scaled by sqrt(n / 2),
+        # the filters and the loss are linear, and the converters load their
+        # full scale from the signal, so every sample scales by sqrt(n / n0)
+        # and x / Delta is unchanged up to a few ulp. The one exception: a
+        # quantizer decision (or a clip test) flips when x / Delta sits
+        # within a few ulp of a level edge; no drawn example hits one.
+        quant = QuantizerSpec(bits) if bits is not None else None
+        cfg = LinkConfig(distance_km=distance_km, sps=sps, lpf=LpfConfig(num_taps=lpf_taps),
+                         dac=quant, adc=quant, tx_len=tx_len, rx_len=rx_len,
+                         num_symbols=num_symbols, seed=seed)
+        h_tx, h_rx = baseline_filters(cfg)
+        base = run_chain(cfg, h_tx, h_rx, n0)
+        res = run_chain(cfg, h_tx, h_rx, n)
+        gain = np.sqrt(n / n0)
+        for got, ref in ((res.tx_symbols, base.tx_symbols),
+                         (res.rx_symbols, base.rx_symbols)):
+            peak = np.max(np.abs(got))
+            assert np.max(np.abs(got - gain * ref)) <= 1e-12 * peak
+        assert (res.isi.c0_sq, res.isi.isi_sum) == (base.isi.c0_sq, base.isi.isi_sum)
+        for got, ref in ((res.dac_report, base.dac_report),
+                         (res.adc_report, base.adc_report)):
+            assert got.clip_fraction == ref.clip_fraction
+            assert got.noise_power == pytest.approx(ref.noise_power * n / n0,
+                                                    rel=1e-9)
 
     def test_quantizers_can_be_bypassed(self):
         cfg = LinkConfig(distance_km=10.0, dac=None, adc=None,

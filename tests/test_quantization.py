@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (reference_clip_fraction, reference_full_scale,
-                     reference_quantize)
+                     reference_noise_power, reference_quantize)
 
 from cvqkdsim.quantization import (QuantizationReport, QuantizerSpec,
                                    clip_fraction, full_scale, measure_noise,
@@ -63,6 +63,15 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.zeros(16), QuantizerSpec(bits=8))
 
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    @pytest.mark.parametrize("peak", [1e200, 1e153])
+    def test_full_scale_overflow_is_an_error(self, peak, complex_signal):
+        # 1e200 overflows each square, 1e153 only their sum; either way the
+        # loader raises instead of warning and returning inf
+        sig = _gaussian_rail(4000, sigma=peak, seed=3, complex_signal=complex_signal)
+        with pytest.raises(ValueError, match="overflows"):
+            full_scale(sig, QuantizerSpec(bits=10))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             quantize(np.zeros(0), QuantizerSpec(bits=8))
@@ -117,6 +126,23 @@ class TestMeasureNoise:
         assert report.noise_power == pytest.approx(2 * spec.step(a) ** 2 / 12,
                                                    rel=0.10)
         assert report.clip_fraction < 1e-4
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000), q_complex=st.booleans(), x_complex=st.booleans(),
+           scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_complex_difference_oracle(self, n, q_complex, x_complex,
+                                               scale, seed):
+        # the rail-wise pairwise mean and the mean of |q - x|^2 differ only in
+        # rounding: a few ulp of the result
+        x = _gaussian_rail(n, sigma=scale, seed=seed, complex_signal=x_complex)
+        q = _gaussian_rail(n, sigma=scale, seed=seed + 1, complex_signal=q_complex)
+        want = reference_noise_power(q, x)
+        assert measure_noise(q, x).noise_power == pytest.approx(want, rel=1e-14)
+
+    def test_clip_fraction_rejects_non_positive_full_scale(self):
+        for a in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                clip_fraction(np.zeros(4), a)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

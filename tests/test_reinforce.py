@@ -56,7 +56,6 @@ class TestSampleEpisode:
         spread = (max(rewards) - min(rewards)) / abs(np.mean(rewards))
         assert spread < 0.01
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_photon_coordinate_is_a_failed_episode(self):
         env = _small_env()
         policy = replace(_policy(env, sigma=GroupSigmas(tx=0.0, rx=0.0, n=0.0)),
@@ -66,6 +65,19 @@ class TestSampleEpisode:
         ep = sample_episode(policy, env, episode_seed=1,
                             config=OptimizerConfig(batch_size=2, iterations=1))
         assert ep.params is None and "log_n" in ep.error
+
+
+    @pytest.mark.parametrize("log_n", [705.0, 709.0])
+    def test_overflowing_signal_power_is_a_failed_episode(self, log_n):
+        # exp(log_n) is finite, but the DAC's full scale overflows (its sum
+        # of squares at 705, each square at 709); under the warnings-as-errors
+        # setting a numpy overflow warning would escape here instead
+        env = _small_env()
+        policy = replace(_policy(env, sigma=GroupSigmas(tx=0.0, rx=0.0, n=0.0)),
+                         theta_log_n=log_n)
+        ep = sample_episode(policy, env, episode_seed=1,
+                            config=OptimizerConfig(batch_size=2, iterations=1))
+        assert ep.params is None and "overflows" in ep.error
 
 
 class TestReinforceUpdate:
@@ -210,7 +222,6 @@ class TestOptimize:
         assert all(b >= a for a, b in zip(best, best[1:]))
         assert result.best_reward >= best[0]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_recovers_through_valid_episode(self):
         # at 1e300 photons the key rate fails (the variances overflow); the
         # wide photon exploration reaches valid episodes
@@ -225,7 +236,6 @@ class TestOptimize:
         assert np.isfinite(result.best_reward)
         assert result.best_params.mean_photon < 1e100
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_start_keeps_negative_first_batch(self):
         # here the first batch's valid episodes sit at huge photon numbers,
         # where the estimated excess noise leaves no key
