@@ -27,15 +27,13 @@ EXIT_RUNTIME = 4
 
 def _cmd_simulate(args) -> int:
     link = cfg.load_link_config(args.config)
-    h_tx, h_rx = baseline_filters(link, rolloff=args.rolloff)
+    h_tx, h_rx = baseline_filters(link)
     result = run_chain(link, h_tx, h_rx, args.mean_photon)
     budget = assemble_budget(link, result.isi, args.mean_photon,
                              result.dac_report, result.adc_report)
     est = estimate_parameters(result.tx_symbols, result.rx_symbols)
-    skr_est = secure_key_rate(SkrInputs(
-        mean_photon=args.mean_photon, transmittance=min(est.tau_hat, 1.0),
-        excess_photons=est.n_ex_clipped + link.channel_excess_photons,
-        beta=args.beta))
+    skr_est = secure_key_rate(est.key_rate_inputs(
+        args.mean_photon, link.channel_excess_photons, args.beta))
     skr_analytic = secure_key_rate(SkrInputs(
         mean_photon=args.mean_photon, transmittance=budget.transmittance,
         excess_photons=budget.total, beta=args.beta))
@@ -53,17 +51,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    data = cfg.load_json(args.config)
-    link = cfg.dataclass_from_dict(cfg.LinkConfig, data.get("env", {}), "env")
-    opt = cfg.load_optimizer_config(data.get("optimizer", {}))
-    unknown = set(data) - {"env", "optimizer", "mean_photon"}
-    if unknown:
-        raise cfg.ConfigError(f"unknown keys {sorted(unknown)} in optimize config")
-    mean_photon = data.get("mean_photon", 6.0)
-    h_tx, h_rx = baseline_filters(link)
-    init = PolicyState.from_params(TransceiverParams(h_tx, h_rx, mean_photon),
-                                   sigma=opt.sigma_init)
-    result = optimize(link, init, opt, workers=args.workers)
+    run = cfg.load_optimize_run(args.config)
+    opt = run.optimizer
+    init = PolicyState.from_params(
+        TransceiverParams(*baseline_filters(run.env), run.mean_photon),
+        sigma=opt.sigma_init)
+    result = optimize(run.env, init, opt, workers=args.workers)
     write_trace_csv(result.trace, args.out)
     print(json.dumps({
         "best_reward": result.best_reward,
@@ -107,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="LinkConfig JSON file")
     p.add_argument("--mean-photon", type=float, default=6.0)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--rolloff", type=float, default=0.2)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optimize", help="run the RL loop and emit a trace CSV")

@@ -22,6 +22,20 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
 
+@dataclasses.dataclass(frozen=True)
+class OptimizeRun:
+    """The ``cvqkdsim optimize`` document: the link, the optimizer and the
+    photon number of the truncated-RRC start."""
+
+    env: LinkConfig = dataclasses.field(default_factory=LinkConfig)
+    optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
+    mean_photon: float = 6.0
+
+    def __post_init__(self):
+        if not self.mean_photon > 0:
+            raise ValueError(f"mean_photon must be positive, got {self.mean_photon}")
+
+
 def _convert(value, hint, path: str):
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
@@ -97,8 +111,8 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     return dataclass_from_dict(SweepSpec, load_json(path))
 
 
-def load_optimizer_config(data: dict) -> OptimizerConfig:
-    return dataclass_from_dict(OptimizerConfig, data)
+def load_optimize_run(path: str | Path) -> OptimizeRun:
+    return dataclass_from_dict(OptimizeRun, load_json(path))
 
 
 def all_defaults() -> dict:

@@ -132,11 +132,9 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     Polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
     output sample ``q*sps + p`` is the convolution of the symbols with tap
     row ``taps[p::sps]`` at ``q``, written into the strided phase view of
-    one output array. A row shorter than ``_FFT_MIN_TAPS`` filters each real
-    rail through ``convolve`` (direct) and writes it into the view's rail; a
-    longer row filters the complex symbols in one ``convolve`` call (one
-    FFT for both rails). The output is complex, as ``upsample`` makes it; a
-    real input's imaginary rail is zero.
+    one output array; ``convolve`` picks each row's method by its length.
+    The output is complex, as ``upsample`` makes it; a real input's
+    imaginary rail is zero.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -151,11 +149,7 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
         # a phase view is one sample longer than its row's output when
         # sps divides len(taps) - p; that sample stays zero
         kept = n + len(row) - 1
-        if len(row) < _FFT_MIN_TAPS:
-            out.real[p::sps][:kept] = convolve(symbols.real, row)
-            out.imag[p::sps][:kept] = convolve(symbols.imag, row)
-        else:
-            out[p::sps][:kept] = convolve(symbols, row)
+        out[p::sps][:kept] = convolve(symbols, row)
     return out
 
 

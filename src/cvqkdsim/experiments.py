@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
+from .keyrate import DEFAULT_BETA, secure_key_rate
 from .link import LinkConfig, baseline_filters, estimate_parameters, run_chain
 from .quantization import QuantizerSpec
 from .reinforce import (OptimizerConfig, PolicyState, TransceiverParams,
@@ -54,7 +54,6 @@ class SweepSpec:
     mode: str = "both"  # unoptimized | optimized | both
     photon_mode: str | None = None  # fixed | scan; None = kind-dependent default
     mean_photon: float = 6.0
-    rolloff: float = 0.2
     reference: ReferencePoint = field(default_factory=ReferencePoint)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     max_points: int = 4096
@@ -70,10 +69,15 @@ class SweepSpec:
             raise ValueError(f"unknown photon_mode {self.photon_mode!r}")
         if not self.mean_photon > 0:
             raise ValueError("mean_photon must be positive")
+        if self.symbol_rate is not None and not self.symbol_rate > 0:
+            raise ValueError(f"symbol_rate must be positive, got {self.symbol_rate}")
+        if self.eval_num_symbols is not None and self.eval_num_symbols < 1:
+            raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
         axes = {"bits-sweep": ["bits"], "taps-bits-grid": ["taps", "bits"],
                 "distance-sweep": ["distances_km"], "photon-scan": []}[self.kind]
         if self.kind == "photon-scan" or self.resolved_photon_mode() == "scan":
             axes.append("photon_grid")
+            _check_photon_grid(self.photon_grid)
         empty = [name for name in axes if len(getattr(self, name)) == 0]
         if empty:
             raise ValueError(f"empty sweep axis {empty}")
@@ -109,14 +113,11 @@ def _evaluate_point(env: LinkConfig, params: TransceiverParams,
     """Chain run + measurement-pipeline key rate for a fixed operating point."""
     result = run_chain(env, params.h_tx, params.h_rx, params.mean_photon)
     est = estimate_parameters(result.tx_symbols, result.rx_symbols)
-    n_ex = est.n_ex_clipped + env.channel_excess_photons
-    skr = secure_key_rate(SkrInputs(mean_photon=params.mean_photon,
-                                    transmittance=min(est.tau_hat, 1.0),
-                                    excess_photons=n_ex, beta=beta))
+    inputs = est.key_rate_inputs(params.mean_photon, env.channel_excess_photons, beta)
     return {
-        "skr_bits_per_symbol": skr,
+        "skr_bits_per_symbol": secure_key_rate(inputs),
         "tau": est.tau_hat,
-        "n_ex": n_ex,
+        "n_ex": inputs.excess_photons,
         "mean_photon": params.mean_photon,
         "isi_sum": result.isi.isi_sum,
         "c0_sq": result.isi.c0_sq,
@@ -125,18 +126,22 @@ def _evaluate_point(env: LinkConfig, params: TransceiverParams,
     }
 
 
-def photon_scan(env: LinkConfig, grid: list[float], h_tx=None, h_rx=None,
+def _check_photon_grid(grid: list[float]) -> None:
+    if not all(n > 0 for n in grid):
+        raise ValueError("photon grid must be positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("photon grid must be sorted ascending")
+
+
+def photon_scan(env: LinkConfig, grid: list[float], h_tx, h_rx,
                 beta: float = DEFAULT_BETA) -> tuple[dict, list[dict]]:
     """Evaluate the key rate over a photon-number grid with fixed filters.
 
-    Returns the argmax record and the full curve. The grid must be sorted
-    ascending.
+    Returns the argmax record and the full curve. The grid must be positive
+    and sorted ascending.
     """
     grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("photon grid must be sorted ascending")
-    if h_tx is None or h_rx is None:
-        h_tx, h_rx = baseline_filters(env)
+    _check_photon_grid(grid)
     curve = []
     for n in grid:
         point = _evaluate_point(env, TransceiverParams(h_tx, h_rx, float(n)), beta)
@@ -180,17 +185,10 @@ def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
     return out, PolicyState.from_params(best, sigma=spec.optimizer.sigma_init)
 
 
-def _anchor(spec: SweepSpec, env: LinkConfig, photon_mode: str) -> dict:
-    """The unoptimized point: the truncated-RRC pair at evaluation length,
-    at the best grid photon number or at the fixed one."""
+def _scan(spec: SweepSpec, env: LinkConfig, grid: list[float]) -> tuple[dict, list[dict]]:
+    """``photon_scan`` of the truncated-RRC pair at evaluation length."""
     env = _eval_env(spec, env)
-    h_tx, h_rx = baseline_filters(env, spec.rolloff)
-    if photon_mode == "scan":
-        best, _ = photon_scan(env, spec.photon_grid, h_tx=h_tx, h_rx=h_rx,
-                              beta=spec.optimizer.beta)
-        return best["detail"]
-    return _evaluate_point(env, TransceiverParams(h_tx, h_rx, spec.mean_photon),
-                           spec.optimizer.beta)
+    return photon_scan(env, grid, *baseline_filters(env), beta=spec.optimizer.beta)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
@@ -198,8 +196,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
 
     At most one anchor per grid point gives the unoptimized record and a
     cold start's photon number; warm starts need the same filter lengths.
-    Anchors are kept by link config, so a taps-bits reference that is also
-    a grid point is evaluated once.
+    An anchor is the best point of a scan over ``photon_grid``, or of a
+    one-point scan at ``mean_photon``. Anchors are kept by link config, so
+    a taps-bits reference that is also a grid point is evaluated once; a
+    reference without key raises ``ValueError``, since the gap is undefined.
     """
     size = spec.grid_size()
     if size > spec.max_points:
@@ -208,11 +208,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
             f"{spec.max_points}; shrink the axes or raise max_points")
 
     if spec.kind == "photon-scan":
-        env = _eval_env(spec, spec.env)
-        h_tx, h_rx = baseline_filters(env, spec.rolloff)
         start = time.perf_counter()
-        best, curve = photon_scan(env, spec.photon_grid, h_tx=h_tx, h_rx=h_rx,
-                                  beta=spec.optimizer.beta)
+        best, curve = _scan(spec, spec.env, spec.photon_grid)
         elapsed = time.perf_counter() - start
         return [RunRecord(
             kind=spec.kind, config=_spec_snapshot(spec, n_photon=row["n_photon"]),
@@ -223,10 +220,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
             seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
     photon_mode = spec.resolved_photon_mode()
+    grid = spec.photon_grid if photon_mode == "scan" else [spec.mean_photon]
 
     @cache
     def anchor_of(env: LinkConfig) -> dict:
-        return _anchor(spec, env, photon_mode)
+        return _scan(spec, env, grid)[0]["detail"]
 
     ref = None
     if spec.kind == "taps-bits-grid":
@@ -234,6 +232,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
         ref = anchor_of(replace(spec.env, dac=quant, adc=quant,
                                 tx_len=spec.reference.ref_taps,
                                 rx_len=spec.reference.ref_taps))
+        if not ref["skr_bits_per_symbol"] > 0:
+            raise ValueError(
+                f"reference point ({spec.reference.ref_taps} taps, "
+                f"{spec.reference.ref_bits} bits) has no key, so the gap is undefined")
     modes = ["unoptimized", "optimized"] if spec.mode == "both" else [spec.mode]
     records: list[RunRecord] = []
     warm: PolicyState | None = None
@@ -247,7 +249,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
         if cold and spec.mode != "unoptimized":
             n = spec.mean_photon if anchor is None else anchor["mean_photon"]
             warm = PolicyState.from_params(
-                TransceiverParams(*baseline_filters(env, spec.rolloff), n),
+                TransceiverParams(*baseline_filters(env), n),
                 sigma=spec.optimizer.sigma_init)
         for mode in modes:
             out = anchor

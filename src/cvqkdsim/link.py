@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import FirFilter
+from .keyrate import DEFAULT_BETA, SkrInputs
 from .quantization import (QuantizationReport, QuantizerSpec, clip_fraction,
                            full_scale, measure_noise, quantize)
 
@@ -59,6 +60,7 @@ class LinkConfig:
             raise ValueError(f"sps must be >= 1, got {self.sps}")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be >= 1")
+        self.lpf_filter()  # the LPF design checks its parameters
 
     @property
     def channel_transmittance(self) -> float:
@@ -115,6 +117,13 @@ class ParameterEstimate:
     def n_ex_clipped(self) -> float:
         return max(0.0, self.n_ex_hat)
 
+    def key_rate_inputs(self, mean_photon: float, channel_excess_photons: float,
+                        beta: float = DEFAULT_BETA) -> SkrInputs:
+        """Key-rate inputs at tau_hat capped at 1 and at the clipped residual
+        plus the channel excess photons."""
+        return SkrInputs(mean_photon, min(self.tau_hat, 1.0),
+                         self.n_ex_clipped + channel_excess_photons, beta)
+
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -160,7 +169,8 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     Converter full scales are frozen from their unquantized inputs. The DAC
     report is taken at the DAC plane; the ADC report compares the chain
     output against an ADC-bypassed twin so that it is referred to the
-    symbol plane. Edge symbols inside the filter transient are trimmed.
+    symbol plane; without an ADC the report is zero and no twin is
+    filtered. Edge symbols inside the filter transient are trimmed.
     Non-finite received symbols raise ``ValueError``.
     """
     if not mean_photon > 0:
@@ -188,15 +198,20 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         adc_scale = full_scale(attenuated, config.adc)
         after_adc = quantize(attenuated, config.adc, adc_scale)
         adc_clip = clip_fraction(attenuated, adc_scale)
+        signals = (after_adc, attenuated)
     else:
-        after_adc = attenuated
-        adc_clip = 0.0
+        after_adc = None
+        signals = (attenuated,)  # the ADC-bypassed twin would be the output
+        adc_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
 
     isi = effective_response(h_tx, lpf, h_rx, sps)
-    rx, rx_ref = dsp.decimate((after_adc, attenuated), h_rx.taps, sps,
-                              isi.delay_index, config.num_symbols)
-    del after_adc, attenuated
-    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rx_ref))):
+    rx, *twin = dsp.decimate(signals, h_rx.taps, sps, isi.delay_index,
+                             config.num_symbols)
+    # the ADC output is freed before its input: the reverse order changes the
+    # heap that later allocations get, and with it the probe-scaled times of
+    # perfbench/run.py
+    del signals, after_adc, attenuated
+    if not all(np.all(np.isfinite(s)) for s in (rx, *twin)):
         raise ValueError("chain output contains non-finite samples")
     tx = symbols[:len(rx)]
 
@@ -206,10 +221,12 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
             f"num_symbols={config.num_symbols} too small for the filter "
             f"transient ({margin} symbols per edge)")
     sl = slice(margin, len(rx) - margin)
-    tx, rx, rx_ref = tx[sl], rx[sl], rx_ref[sl]
+    tx, rx = tx[sl], rx[sl]
 
-    adc_report = QuantizationReport(
-        noise_power=measure_noise(rx, rx_ref).noise_power, clip_fraction=adc_clip)
+    if twin:
+        adc_report = QuantizationReport(
+            noise_power=measure_noise(rx, twin[0][sl]).noise_power,
+            clip_fraction=adc_clip)
     return ChainResult(tx_symbols=tx, rx_symbols=rx, dac_report=dac_report,
                        adc_report=adc_report, isi=isi)
 
@@ -253,8 +270,7 @@ def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,
     )
 
 
-def baseline_filters(config: LinkConfig, rolloff: float = 0.2) -> tuple[FirFilter, FirFilter]:
+def baseline_filters(config: LinkConfig) -> tuple[FirFilter, FirFilter]:
     """Truncated-RRC transmitter/receiver pair at the configured lengths."""
-    h_tx = dsp.truncated_rrc(config.tx_len, rolloff, config.sps)
-    h_rx = dsp.truncated_rrc(config.rx_len, rolloff, config.sps)
-    return h_tx, h_rx
+    return (dsp.truncated_rrc(config.tx_len, sps=config.sps),
+            dsp.truncated_rrc(config.rx_len, sps=config.sps))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dsp import FirFilter
-from .keyrate import DEFAULT_BETA, SkrInputs, devetak_winter_rate
+from .keyrate import DEFAULT_BETA, devetak_winter_rate
 from .link import LinkConfig, estimate_parameters, run_chain
 # unused here; perfbench/tracing.py patches both names in this module
 from .keyrate import secure_key_rate  # noqa: F401
@@ -181,9 +181,8 @@ def chain_reward(env: LinkConfig, params: TransceiverParams, chain_seed: int,
     result = run_chain(replace(env, seed=chain_seed), params.h_tx, params.h_rx,
                        params.mean_photon)
     est = estimate_parameters(result.tx_symbols, result.rx_symbols)
-    return devetak_winter_rate(SkrInputs(
-        mean_photon=params.mean_photon, transmittance=min(est.tau_hat, 1.0),
-        excess_photons=est.n_ex_clipped + env.channel_excess_photons, beta=beta))
+    return devetak_winter_rate(est.key_rate_inputs(
+        params.mean_photon, env.channel_excess_photons, beta))
 
 
 def _episode_seeds(master_seed: int, iteration: int, index: int) -> tuple[int, int]:

@@ -39,8 +39,9 @@ _non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _fraction = st.floats(0.0, 1.0)
 _count = st.integers(1, 2**31)
 _quantizer = st.builds(QuantizerSpec, bits=st.integers(1, 62), clipping_factor=_positive)
-_lpf = st.builds(LpfConfig, order=st.integers(), bandwidth_norm=_finite,
-                num_taps=st.integers())
+# a LinkConfig designs its LPF when it is built, so the LPF is valid and small
+_lpf = st.builds(LpfConfig, order=st.integers(1, 8), bandwidth_norm=st.floats(0.05, 2.0),
+                num_taps=st.integers(0, 256).map(lambda k: 2 * k + 1))
 _link = st.builds(
     LinkConfig, distance_km=_non_negative, attenuation_db_per_km=_finite,
     channel_excess_photons=_non_negative, sps=st.integers(1, 64), lpf=_lpf,
@@ -67,10 +68,11 @@ _VALID = {
         bits=st.lists(st.integers(1, 62), min_size=1, max_size=4),
         taps=st.lists(_count, min_size=1, max_size=4),
         distances_km=st.lists(_non_negative, min_size=1, max_size=4),
-        photon_grid=st.lists(_positive, min_size=1, max_size=4), env=_link,
+        photon_grid=st.lists(_positive, min_size=1, max_size=4, unique=True).map(sorted),
+        env=_link,
         mode=st.sampled_from(["unoptimized", "optimized", "both"]),
         photon_mode=st.sampled_from([None, "fixed", "scan"]), mean_photon=_positive,
-        rolloff=st.floats(0.0, 1.0, exclude_min=True), reference=_reference,
+        reference=_reference,
         optimizer=_optimizer, max_points=_count, symbol_rate=st.none() | _positive,
         eval_num_symbols=st.none() | _count),
 }
@@ -132,6 +134,16 @@ class TestRunSweep:
         for mode in ("unoptimized", "optimized"):
             assert [r.outputs for r in runs["both"] if r.outputs["mode"] == mode] \
                 == [r.outputs for r in runs[mode]]
+
+    def test_fixed_photon_anchor_is_a_one_point_scan(self):
+        spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
+                         mode="unoptimized", photon_mode="fixed", mean_photon=2.0,
+                         eval_num_symbols=4_000, optimizer=_tiny_optimizer())
+        (record,) = run_sweep(spec)
+        env = replace(spec.env, num_symbols=4_000)
+        best, _ = photon_scan(env, [2.0], *baseline_filters(env),
+                              beta=spec.optimizer.beta)
+        assert record.outputs == {"bits": 10, "mode": "unoptimized", **best["detail"]}
 
     @pytest.mark.parametrize("kind", ["bits-sweep", "photon-scan"])
     def test_symbol_rate_adds_bits_per_second(self, kind):
@@ -197,9 +209,9 @@ class TestRunSweep:
         assert len(calls) == 2  # one per grid point; the 31-tap one is the reference
         # each record holds its point's anchor, evaluated on its own
         quant = QuantizerSpec(bits=12)
-        anchors = {taps: experiments._anchor(spec, replace(spec.env, dac=quant, adc=quant,
-                                                           tx_len=taps, rx_len=taps),
-                                             "scan")
+        anchors = {taps: experiments._scan(spec, replace(spec.env, dac=quant, adc=quant,
+                                                         tx_len=taps, rx_len=taps),
+                                           spec.photon_grid)[0]["detail"]
                    for taps in (21, 31)}
         ref_skr = anchors[31]["skr_bits_per_symbol"]
         for rec in records:
@@ -225,7 +237,7 @@ class TestPhotonScan:
     def test_rejects_unsorted_grid(self):
         env = _tiny_env()
         with pytest.raises(ValueError):
-            photon_scan(env, [2.0, 1.0])
+            photon_scan(env, [2.0, 1.0], *baseline_filters(env))
 
     def test_sweep_kind_emits_schema(self, tmp_path):
         spec = SweepSpec(kind="photon-scan",
@@ -428,13 +440,73 @@ class TestCli:
                          "--out", str(tmp_path / "trace.csv")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mean_photon", ["2", None, -1.0, True])
+    def test_bad_optimize_mean_photon_is_config_error(self, tmp_path, capsys,
+                                                      mean_photon):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+            "optimizer": {"batch_size": 4, "iterations": 1},
+            "mean_photon": mean_photon}))
+        assert cli.main(["optimize", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 2
+        assert "mean_photon" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_even_lpf_taps_are_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({"num_symbols": 3000, "tx_len": 11, "rx_len": 21,
+                                   "lpf": {"num_taps": 256}}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "num_taps must be odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"photon_grid": [0.0, 1.0]}, "photon grid must be positive"),
+        ({"photon_grid": [2.0, 1.0]}, "photon grid must be sorted"),
+        ({"eval_num_symbols": 0}, "eval_num_symbols"),
+        ({"symbol_rate": -1.0}, "symbol_rate")],
+        ids=["non_positive_grid", "unsorted_grid", "no_eval_symbols",
+             "negative_symbol_rate"])
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, fields,
+                                             message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "bits-sweep", "bits": [8], "mode": "unoptimized",
+            "photon_mode": "scan", "photon_grid": [1.0, 2.0],
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21}, **fields}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_reference_without_key_stops_before_the_grid(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        scan = experiments.photon_scan
+        monkeypatch.setattr(experiments, "photon_scan",
+                            lambda *a, **k: calls.append(1) or scan(*a, **k))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "taps-bits-grid", "taps": [11], "bits": [8],
+            "mode": "unoptimized", "photon_mode": "fixed",
+            "reference": {"ref_taps": 21, "ref_bits": 12},
+            "env": {"num_symbols": 3000, "distance_km": 100.0, "tx_len": 11,
+                    "rx_len": 21}}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "reference point (21 taps, 12 bits)" in err
+        assert "gap is undefined" in err
+        assert len(calls) == 1  # the reference alone
+
     def test_removed_sweep_key_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "bits-sweep", "bits": [8],
-                                    "warm_start": True}))
+                                    "warm_start": True, "rolloff": 0.3}))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 2
-        assert "warm_start" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warm_start" in err and "rolloff" in err
 
     @pytest.mark.parametrize("axes,empty", [
         ({"kind": "bits-sweep", "bits": []}, "bits"),

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkdsim import dsp
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
-from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, assemble_budget,
-                           baseline_filters, effective_response,
+from cvqkdsim.keyrate import SkrInputs
+from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, ParameterEstimate,
+                           assemble_budget, baseline_filters, effective_response,
                            estimate_parameters, run_chain)
 from cvqkdsim.quantization import QuantizationReport, QuantizerSpec
 
@@ -169,6 +171,23 @@ class TestRunChain:
         assert res.dac_report.noise_power == 0.0
         assert res.adc_report.noise_power == 0.0
 
+    def test_without_adc_the_rx_filter_runs_once(self, monkeypatch):
+        # no ADC-bypassed twin is filtered when there is no ADC to measure
+        signals_per_rx_call = []
+        decimate = dsp.decimate
+
+        def counting(signals, taps, sps, start, count):
+            if sps > 1:
+                signals_per_rx_call.append(len(signals))
+            return decimate(signals, taps, sps, start, count)
+
+        monkeypatch.setattr(dsp, "decimate", counting)
+        cfg = LinkConfig(distance_km=10.0, adc=None, num_symbols=5_000,
+                         tx_len=11, rx_len=41, seed=2)
+        res = run_chain(cfg, *baseline_filters(cfg), 6.0)
+        assert signals_per_rx_call == [1]
+        assert res.adc_report == QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+
 
 class TestEstimateParameters:
     def test_identity_channel(self):
@@ -200,6 +219,16 @@ class TestEstimateParameters:
             tau_hat=0.5, n_ex_hat=-1e-9, num_symbols_used=1000)
         assert est.n_ex_clipped == 0.0
         assert est.n_ex_hat == -1e-9
+
+    @pytest.mark.parametrize("tau_hat,n_ex_hat,tau,n_ex", [
+        (1.2, -1e-9, 1.0, 1e-3), (0.5, 2e-3, 0.5, 3e-3)])
+    def test_key_rate_inputs_cap_tau_and_clip_noise(self, tau_hat, n_ex_hat,
+                                                     tau, n_ex):
+        est = ParameterEstimate(tau_hat=tau_hat, n_ex_hat=n_ex_hat,
+                                num_symbols_used=1000)
+        assert est.key_rate_inputs(2.0, 1e-3, beta=0.95) == \
+            SkrInputs(mean_photon=2.0, transmittance=tau, excess_photons=n_ex,
+                      beta=0.95)
 
     def test_rejects_too_few_symbols(self):
         with pytest.raises(ValueError):
