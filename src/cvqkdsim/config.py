@@ -126,8 +126,6 @@ def all_defaults() -> dict:
         "quantizer": dataclasses.asdict(QuantizerSpec(bits=10)),
         "optimizer": dataclasses.asdict(OptimizerConfig()),
         "sigma": dataclasses.asdict(GroupSigmas()),
-        "sweep": {
-            **{k: v for k, v in dataclasses.asdict(SweepSpec()).items()},
-        },
+        "sweep": dataclasses.asdict(SweepSpec()),
         "reference": dataclasses.asdict(ReferencePoint()),
     }

@@ -49,11 +49,9 @@ class SweepSpec:
     bits: list[int] = field(default_factory=lambda: [6, 8, 10, 12])
     taps: list[int] = field(default_factory=lambda: [11, 21, 41, 101])
     distances_km: list[float] = field(default_factory=lambda: [10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
-    photon_grid: list[float] = field(default_factory=lambda: list(np.geomspace(0.5, 40.0, 33)))
+    photon_grid: list[float] | None = None  # None = kind-dependent default
     env: LinkConfig = field(default_factory=LinkConfig)
     mode: str = "both"  # unoptimized | optimized | both
-    photon_mode: str | None = None  # fixed | scan; None = kind-dependent default
-    mean_photon: float = 6.0
     reference: ReferencePoint = field(default_factory=ReferencePoint)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     max_points: int = 4096
@@ -65,28 +63,20 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}; expected one of {SWEEP_KINDS}")
         if self.mode not in ("unoptimized", "optimized", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.photon_mode not in (None, "fixed", "scan"):
-            raise ValueError(f"unknown photon_mode {self.photon_mode!r}")
-        if not self.mean_photon > 0:
-            raise ValueError("mean_photon must be positive")
         if self.symbol_rate is not None and not self.symbol_rate > 0:
             raise ValueError(f"symbol_rate must be positive, got {self.symbol_rate}")
         if self.eval_num_symbols is not None and self.eval_num_symbols < 1:
             raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
+        if self.photon_grid is None:  # distance sweeps pin the photon number
+            grid = [6.0] if self.kind == "distance-sweep" else \
+                list(np.geomspace(0.5, 40.0, 33))
+            object.__setattr__(self, "photon_grid", grid)
         axes = {"bits-sweep": ["bits"], "taps-bits-grid": ["taps", "bits"],
                 "distance-sweep": ["distances_km"], "photon-scan": []}[self.kind]
-        if self.kind == "photon-scan" or self.resolved_photon_mode() == "scan":
-            axes.append("photon_grid")
-            _check_photon_grid(self.photon_grid)
-        empty = [name for name in axes if len(getattr(self, name)) == 0]
+        empty = [name for name in axes + ["photon_grid"] if len(getattr(self, name)) == 0]
         if empty:
             raise ValueError(f"empty sweep axis {empty}")
-
-    def resolved_photon_mode(self) -> str:
-        """Distance sweeps pin the photon number; the other kinds scan it."""
-        if self.photon_mode is not None:
-            return self.photon_mode
-        return "fixed" if self.kind == "distance-sweep" else "scan"
+        _check_photon_grid(self.photon_grid)
 
     def grid_size(self) -> int:
         if self.kind == "photon-scan":
@@ -196,8 +186,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
 
     At most one anchor per grid point gives the unoptimized record and a
     cold start's photon number; warm starts need the same filter lengths.
-    An anchor is the best point of a scan over ``photon_grid``, or of a
-    one-point scan at ``mean_photon``. Anchors are kept by link config, so
+    An anchor is the best point of a scan over ``photon_grid``; a fixed
+    photon number is a one-point grid. Anchors are kept by link config, so
     a taps-bits reference that is also a grid point is evaluated once; a
     reference without key raises ``ValueError``, since the gap is undefined.
     """
@@ -219,8 +209,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
                      **_rate_fields(spec, row["skr_bits_per_symbol"])},
             seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
-    photon_mode = spec.resolved_photon_mode()
-    grid = spec.photon_grid if photon_mode == "scan" else [spec.mean_photon]
+    grid = spec.photon_grid
 
     @cache
     def anchor_of(env: LinkConfig) -> dict:
@@ -243,11 +232,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
         start = time.perf_counter()
         cold = warm is None or (len(warm.theta_tx), len(warm.theta_rx)) != \
             (env.tx_len, env.rx_len)
-        # a warm start needs no anchor, and a fixed start may not evaluate
-        needed = spec.mode != "optimized" or (cold and photon_mode == "scan")
+        # a warm start needs no anchor, and a one-point grid is its own argmax
+        needed = spec.mode != "optimized" or (cold and len(grid) > 1)
         anchor = anchor_of(env) if needed else None
         if cold and spec.mode != "unoptimized":
-            n = spec.mean_photon if anchor is None else anchor["mean_photon"]
+            n = grid[0] if anchor is None else anchor["mean_photon"]
             warm = PolicyState.from_params(
                 TransceiverParams(*baseline_filters(env), n),
                 sigma=spec.optimizer.sigma_init)

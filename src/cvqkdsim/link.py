@@ -52,6 +52,9 @@ class LinkConfig:
     def __post_init__(self):
         if not self.distance_km >= 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
+        if not 0.0 <= self.attenuation_db_per_km < np.inf:
+            raise ValueError("attenuation_db_per_km must be finite and >= 0, "
+                             f"got {self.attenuation_db_per_km}")
         if not self.channel_excess_photons >= 0:
             raise ValueError("channel_excess_photons must be >= 0")
         if self.tx_len < 1 or self.rx_len < 1:
@@ -60,6 +63,11 @@ class LinkConfig:
             raise ValueError(f"sps must be >= 1, got {self.sps}")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be >= 1")
+        # no chain passes the transient check with an LPF longer than its
+        # block, so the design grid (8x the taps) is never built for one
+        if self.lpf.num_taps > self.num_symbols * self.sps:
+            raise ValueError(f"lpf.num_taps={self.lpf.num_taps} exceeds the block's "
+                             f"{self.num_symbols * self.sps} samples")
         self.lpf_filter()  # the LPF design checks its parameters
 
     @property

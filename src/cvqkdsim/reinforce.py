@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dsp import FirFilter
-from .keyrate import DEFAULT_BETA, devetak_winter_rate
+from .keyrate import DEFAULT_BETA, SkrInputs, devetak_winter_rate
 from .link import LinkConfig, estimate_parameters, run_chain
 # unused here; perfbench/tracing.py patches both names in this module
 from .keyrate import secure_key_rate  # noqa: F401
@@ -150,6 +150,7 @@ class OptimizerConfig:
             raise ValueError("sigma_decay must be in (0, 1]")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must be in [0, 1)")
+        SkrInputs(1.0, 1.0, 0.0, self.beta)  # the key rate's own beta check
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,7 @@ def test_criterion_5_resolution_trend():
         kind="bits-sweep", bits=[6, 8, 10, 12],
         env=LinkConfig(distance_km=100.0, channel_excess_photons=1e-4,
                        tx_len=11, rx_len=101, num_symbols=10_000, seed=31),
-        mode="both", photon_mode="scan",
-        photon_grid=list(np.geomspace(0.3, 20.0, 21)),
+        mode="both", photon_grid=list(np.geomspace(0.3, 20.0, 21)),
         optimizer=_rl_sweep_optimizer(), eval_num_symbols=50_000)
     records = run_sweep(spec)
     table = {}
@@ -129,8 +128,7 @@ def test_criterion_6_taps_bits_plateau():
         kind="taps-bits-grid", taps=[11, 21, 41, 101], bits=[6, 8, 11, 14],
         env=LinkConfig(distance_km=50.0, channel_excess_photons=1e-3,
                        num_symbols=50_000, seed=17),
-        mode="unoptimized", photon_mode="scan",
-        photon_grid=list(np.geomspace(0.3, 20.0, 15)),
+        mode="unoptimized", photon_grid=list(np.geomspace(0.3, 20.0, 15)),
         reference=ReferencePoint(ref_taps=1001, ref_bits=16))
     records = run_sweep(spec)
     gap = {(r.outputs["taps"], r.outputs["bits"]): r.outputs["gap"]
@@ -156,7 +154,7 @@ def test_criterion_7_distance_trend():
         distances_km=[float(d) for d in range(10, 110, 10)],
         env=LinkConfig(channel_excess_photons=1e-3, tx_len=11, rx_len=101,
                        num_symbols=10_000, seed=13),
-        mode="both", mean_photon=6.0,
+        mode="both", photon_grid=[6.0],
         optimizer=_rl_sweep_optimizer(iterations=50, seed=23),
         eval_num_symbols=50_000)
     records = run_sweep(spec)
@@ -245,7 +243,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
         kind="bits-sweep", bits=[8, 10],
         env=LinkConfig(distance_km=20.0, tx_len=11, rx_len=21,
                        num_symbols=3_000, seed=9),
-        mode="both", photon_mode="fixed", mean_photon=2.0,
+        mode="both", photon_grid=[2.0],
         optimizer=OptimizerConfig(batch_size=4, iterations=2, seed=5))
     outputs = {}
     for workers in (1, 2):

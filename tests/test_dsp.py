@@ -439,7 +439,7 @@ class TestSuperGaussianLpf:
         # every chain of a config gets the same filter; no caller can
         # change the taps the others see
         h = LinkConfig().lpf_filter()
-        assert LinkConfig(seed=5, num_symbols=10).lpf_filter() is h
+        assert LinkConfig(seed=5, num_symbols=100).lpf_filter() is h
         assert np.array_equal(h.taps, super_gaussian_lpf(order=4, bandwidth_norm=0.75,
                                                          num_taps=257, sps=4).taps)
         assert not h.taps.flags.writeable

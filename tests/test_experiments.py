@@ -8,7 +8,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkdsim import cli, experiments
+from cvqkdsim import cli, experiments, reinforce
 from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load_sweep_spec
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep,
@@ -36,17 +36,17 @@ def _tiny_optimizer(**overrides):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
-_fraction = st.floats(0.0, 1.0)
 _count = st.integers(1, 2**31)
 _quantizer = st.builds(QuantizerSpec, bits=st.integers(1, 62), clipping_factor=_positive)
 # a LinkConfig designs its LPF when it is built, so the LPF is valid and small
 _lpf = st.builds(LpfConfig, order=st.integers(1, 8), bandwidth_norm=st.floats(0.05, 2.0),
                 num_taps=st.integers(0, 256).map(lambda k: 2 * k + 1))
 _link = st.builds(
-    LinkConfig, distance_km=_non_negative, attenuation_db_per_km=_finite,
+    LinkConfig, distance_km=_non_negative, attenuation_db_per_km=_non_negative,
     channel_excess_photons=_non_negative, sps=st.integers(1, 64), lpf=_lpf,
     dac=st.none() | _quantizer, adc=st.none() | _quantizer, tx_len=_count,
-    rx_len=_count, num_symbols=_count, seed=st.integers(0, 2**64 - 1))
+    # at least as many samples as the longest LPF drawn, at sps 1
+    rx_len=_count, num_symbols=st.integers(513, 2**31), seed=st.integers(0, 2**64 - 1))
 _optimizer = st.builds(
     OptimizerConfig, batch_size=st.integers(2, 2**31),
     learning_rate=st.builds(GroupRates, tx=_positive, rx=_positive, n=_positive),
@@ -54,9 +54,9 @@ _optimizer = st.builds(
     sigma_init=st.builds(GroupSigmas, tx=_positive, rx=_positive, n=_positive),
     sigma_decay=st.floats(0.0, 1.0, exclude_min=True), sigma_floor=_non_negative,
     baseline_decay=st.floats(0.0, 1.0, exclude_max=True),
-    seed=st.integers(0, 2**64 - 1), beta=_fraction)
+    seed=st.integers(0, 2**64 - 1), beta=st.floats(0.0, 1.0, exclude_min=True))
 _reference = st.builds(ReferencePoint, ref_taps=_count, ref_bits=st.integers(1, 62))
-# every sweep axis non-empty, so that each kind and photon mode is valid
+# every sweep axis non-empty, so that each kind is valid
 _VALID = {
     "LinkConfig": _link, "LpfConfig": _lpf,
     "QuantizerSpec": _quantizer, "OptimizerConfig": _optimizer,
@@ -68,11 +68,10 @@ _VALID = {
         bits=st.lists(st.integers(1, 62), min_size=1, max_size=4),
         taps=st.lists(_count, min_size=1, max_size=4),
         distances_km=st.lists(_non_negative, min_size=1, max_size=4),
-        photon_grid=st.lists(_positive, min_size=1, max_size=4, unique=True).map(sorted),
+        photon_grid=st.none() | st.lists(_positive, min_size=1, max_size=4,
+                                         unique=True).map(sorted),
         env=_link,
-        mode=st.sampled_from(["unoptimized", "optimized", "both"]),
-        photon_mode=st.sampled_from([None, "fixed", "scan"]), mean_photon=_positive,
-        reference=_reference,
+        mode=st.sampled_from(["unoptimized", "optimized", "both"]), reference=_reference,
         optimizer=_optimizer, max_points=_count, symbol_rate=st.none() | _positive,
         eval_num_symbols=st.none() | _count),
 }
@@ -81,8 +80,7 @@ _VALID = {
 class TestRunSweep:
     def test_bits_sweep_modes_and_schema(self, tmp_path):
         spec = SweepSpec(kind="bits-sweep", bits=[8, 10], env=_tiny_env(),
-                         mode="both", photon_mode="fixed", mean_photon=2.0,
-                         optimizer=_tiny_optimizer())
+                         mode="both", photon_grid=[2.0], optimizer=_tiny_optimizer())
         records = run_sweep(spec)
         assert len(records) == 4
         by_bits = {}
@@ -98,8 +96,8 @@ class TestRunSweep:
 
     def test_rerunning_sweep_is_deterministic(self):
         spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
-                         mode="unoptimized", photon_mode="fixed",
-                         mean_photon=2.0, optimizer=_tiny_optimizer())
+                         mode="unoptimized", photon_grid=[2.0],
+                         optimizer=_tiny_optimizer())
         one = run_sweep(spec)
         two = run_sweep(spec)
         assert one[0].outputs == two[0].outputs
@@ -108,8 +106,7 @@ class TestRunSweep:
         # the start at 1e300 photons fails in the optimizer and again as a
         # contender; the optimized point comes from a valid episode
         spec = SweepSpec(kind="distance-sweep", distances_km=[20.0],
-                         env=_tiny_env(), mode="optimized", photon_mode="fixed",
-                         mean_photon=1e300,
+                         env=_tiny_env(), mode="optimized", photon_grid=[1e300],
                          optimizer=_tiny_optimizer(batch_size=8, iterations=2, seed=4,
                                                    sigma_init=GroupSigmas(n=300.0)))
         records = run_sweep(spec)
@@ -123,21 +120,24 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "photon_scan",
                             lambda *a, **k: calls.append(1) or scan(*a, **k))
         spec = SweepSpec(kind="bits-sweep", bits=[8, 10], env=_tiny_env(),
-                         photon_mode="scan", photon_grid=[1.0, 2.0, 4.0],
-                         optimizer=_tiny_optimizer())
+                         photon_grid=[1.0, 2.0, 4.0], optimizer=_tiny_optimizer())
         runs = {}
         # the second optimized point warm-starts and needs no start photon number
         for mode, scans in [("unoptimized", 2), ("optimized", 1), ("both", 2)]:
             calls.clear()
             runs[mode] = run_sweep(replace(spec, mode=mode))
             assert len(calls) == scans, mode
+        # a one-point grid is the cold start's photon number without a scan
+        calls.clear()
+        run_sweep(replace(spec, mode="optimized", photon_grid=[2.0]))
+        assert calls == []
         for mode in ("unoptimized", "optimized"):
             assert [r.outputs for r in runs["both"] if r.outputs["mode"] == mode] \
                 == [r.outputs for r in runs[mode]]
 
     def test_fixed_photon_anchor_is_a_one_point_scan(self):
         spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
-                         mode="unoptimized", photon_mode="fixed", mean_photon=2.0,
+                         mode="unoptimized", photon_grid=[2.0],
                          eval_num_symbols=4_000, optimizer=_tiny_optimizer())
         (record,) = run_sweep(spec)
         env = replace(spec.env, num_symbols=4_000)
@@ -148,7 +148,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("kind", ["bits-sweep", "photon-scan"])
     def test_symbol_rate_adds_bits_per_second(self, kind):
         spec = SweepSpec(kind=kind, bits=[10], photon_grid=[1.0, 2.0],
-                         env=_tiny_env(), mode="unoptimized", mean_photon=2.0,
+                         env=_tiny_env(), mode="unoptimized",
                          optimizer=_tiny_optimizer())
         assert all("skr_bits_per_second" not in r.outputs for r in run_sweep(spec))
         for rec in run_sweep(replace(spec, symbol_rate=1e8)):
@@ -174,7 +174,7 @@ class TestRunSweep:
 
     def test_distance_sweep_schema(self, tmp_path):
         spec = SweepSpec(kind="distance-sweep", distances_km=[10.0, 20.0],
-                         env=_tiny_env(), mode="unoptimized", mean_photon=2.0,
+                         env=_tiny_env(), mode="unoptimized", photon_grid=[2.0],
                          optimizer=_tiny_optimizer())
         records = run_sweep(spec)
         report(records, tmp_path)
@@ -184,7 +184,7 @@ class TestRunSweep:
     def test_grid_reference_gap_is_zero_and_bounded(self, tmp_path):
         spec = SweepSpec(kind="taps-bits-grid", taps=[21, 31], bits=[12],
                          env=_tiny_env(num_symbols=4_000),
-                         mode="unoptimized", photon_mode="fixed", mean_photon=2.0,
+                         mode="unoptimized", photon_grid=[2.0],
                          reference=ReferencePoint(ref_taps=31, ref_bits=12),
                          optimizer=_tiny_optimizer())
         records = run_sweep(spec)
@@ -202,7 +202,7 @@ class TestRunSweep:
                             lambda *a, **k: calls.append(1) or scan(*a, **k))
         spec = SweepSpec(kind="taps-bits-grid", taps=[21, 31], bits=[12],
                          env=_tiny_env(num_symbols=4_000),
-                         mode="unoptimized", photon_mode="scan",
+                         mode="unoptimized",
                          reference=ReferencePoint(ref_taps=31, ref_bits=12),
                          optimizer=_tiny_optimizer())
         records = run_sweep(spec)
@@ -268,8 +268,8 @@ class TestReport:
 
     def test_byte_identical_re_reporting(self, tmp_path):
         spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
-                         mode="unoptimized", photon_mode="fixed",
-                         mean_photon=2.0, optimizer=_tiny_optimizer())
+                         mode="unoptimized", photon_grid=[2.0],
+                         optimizer=_tiny_optimizer())
         records = run_sweep(spec)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         report(records, dir_a)
@@ -279,8 +279,8 @@ class TestReport:
 
     def test_records_round_trip(self, tmp_path):
         spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
-                         mode="unoptimized", photon_mode="fixed",
-                         mean_photon=2.0, optimizer=_tiny_optimizer())
+                         mode="unoptimized", photon_grid=[2.0],
+                         optimizer=_tiny_optimizer())
         records = run_sweep(spec)
         path = save_records(records, tmp_path / "records.json")
         loaded = load_records(path)
@@ -335,6 +335,19 @@ class TestConfigLoading:
         assert defaults["quantizer"]["clipping_factor"] == 4.0
         assert defaults["sweep"]["reference"] == {"ref_taps": 1001,
                                                   "ref_bits": 16}
+        assert defaults["sweep"] == asdict(SweepSpec())
+        assert "photon_mode" not in defaults["sweep"]
+        assert "mean_photon" not in defaults["sweep"]
+
+    @pytest.mark.parametrize("kind", experiments.SWEEP_KINDS)
+    def test_default_photon_grid_by_kind(self, kind):
+        # distance sweeps pin the photon number; the other kinds scan it
+        spec = dataclass_from_dict(SweepSpec, {"kind": kind})
+        if kind == "distance-sweep":
+            assert spec.photon_grid == [6.0]
+        else:
+            assert spec.photon_grid == list(np.geomspace(0.5, 40.0, 33))
+        assert asdict(spec)["photon_grid"] == spec.photon_grid  # stored concrete
 
     @pytest.mark.parametrize("default", [
         LinkConfig(), LpfConfig(), QuantizerSpec(bits=10), OptimizerConfig(),
@@ -357,7 +370,7 @@ class TestConfigLoading:
         path.write_text(json.dumps({
             "kind": "bits-sweep", "bits": [8],
             "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
-            "mode": "unoptimized", "photon_mode": "fixed", "mean_photon": 2.0,
+            "mode": "unoptimized", "photon_grid": [2.0],
         }))
         spec = load_sweep_spec(path)
         assert spec.bits == [8]
@@ -391,6 +404,37 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg), flag, value]) == 2
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_attenuation_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({"attenuation_db_per_km": value, "num_symbols": 3000,
+                                   "tx_len": 11, "rx_len": 21}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "attenuation_db_per_km" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    @pytest.mark.parametrize("beta", [1.5, 0.0, float("nan")])
+    def test_bad_beta_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                      command, beta):
+        # rejected while the config loads, before any chain runs
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        cfg = tmp_path / "cfg.json"
+        doc = {"env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+               "optimizer": {"batch_size": 4, "iterations": 1, "beta": beta}}
+        if command == "optimize":
+            args = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            doc.update(kind="bits-sweep", bits=[8], photon_grid=[2.0])
+            args = ["sweep", "--spec", str(cfg), "--out-dir", str(tmp_path / "out")]
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(args) == 2
+        assert "beta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -436,9 +480,9 @@ class TestCli:
     def test_nan_sweep_mean_photon_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "kind": "bits-sweep", "bits": [8], "mean_photon": float("nan"),
+            "kind": "bits-sweep", "bits": [8], "photon_grid": [float("nan")],
             "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
-            "mode": "unoptimized", "photon_mode": "fixed"}))
+            "mode": "unoptimized"}))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 2
 
@@ -485,7 +529,7 @@ class TestCli:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "kind": "bits-sweep", "bits": [8], "mode": "unoptimized",
-            "photon_mode": "scan", "photon_grid": [1.0, 2.0],
+            "photon_grid": [1.0, 2.0],
             "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21}, **fields}))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 2
@@ -501,7 +545,7 @@ class TestCli:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "kind": "taps-bits-grid", "taps": [11], "bits": [8],
-            "mode": "unoptimized", "photon_mode": "fixed",
+            "mode": "unoptimized", "photon_grid": [6.0],
             "reference": {"ref_taps": 21, "ref_bits": 12},
             "env": {"num_symbols": 3000, "distance_km": 100.0, "tx_len": 11,
                     "rx_len": 21}}))
@@ -514,24 +558,26 @@ class TestCli:
 
     def test_removed_sweep_key_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
+        # a fixed photon number is the one-point grid [mean_photon]
         spec.write_text(json.dumps({"kind": "bits-sweep", "bits": [8],
-                                    "warm_start": True, "rolloff": 0.3}))
+                                    "warm_start": True, "rolloff": 0.3,
+                                    "photon_mode": "fixed", "mean_photon": 2.0}))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "warm_start" in err and "rolloff" in err
+        assert all(key in err for key in ("warm_start", "rolloff", "photon_mode",
+                                          "mean_photon"))
 
     @pytest.mark.parametrize("axes,empty", [
         ({"kind": "bits-sweep", "bits": []}, "bits"),
         ({"kind": "taps-bits-grid", "taps": []}, "taps"),
         ({"kind": "taps-bits-grid", "bits": []}, "bits"),
         ({"kind": "distance-sweep", "distances_km": []}, "distances_km"),
+        # every kind reads its photon grid, so none may be empty
         ({"kind": "photon-scan", "photon_grid": []}, "photon_grid"),
-        ({"kind": "photon-scan", "photon_mode": "fixed", "photon_grid": []},
-         "photon_grid"),
+        ({"kind": "taps-bits-grid", "photon_grid": []}, "photon_grid"),
         ({"kind": "bits-sweep", "photon_grid": []}, "photon_grid"),
-        ({"kind": "distance-sweep", "photon_mode": "scan", "photon_grid": []},
-         "photon_grid")])
+        ({"kind": "distance-sweep", "photon_grid": []}, "photon_grid")])
     def test_empty_sweep_axis_is_config_error(self, tmp_path, capsys, axes,
                                               empty):
         spec = tmp_path / "spec.json"
@@ -542,17 +588,12 @@ class TestCli:
         assert empty in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unused_empty_photon_grid_is_allowed(self):
-        # a fixed photon number never reads the grid
-        SweepSpec(kind="distance-sweep", photon_grid=[])
-        SweepSpec(kind="bits-sweep", photon_mode="fixed", photon_grid=[])
-
     def test_budget_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "kind": "bits-sweep", "bits": [6, 8, 10], "max_points": 1,
             "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
-            "mode": "unoptimized", "photon_mode": "fixed",
+            "mode": "unoptimized", "photon_grid": [6.0],
         }))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 3
@@ -563,7 +604,7 @@ class TestCli:
             "kind": "bits-sweep", "bits": [10],
             "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21,
                     "distance_km": 20.0, "seed": 21},
-            "mode": "unoptimized", "photon_mode": "fixed", "mean_photon": 2.0,
+            "mode": "unoptimized", "photon_grid": [2.0],
         }))
         out_dir = tmp_path / "out"
         assert cli.main(["sweep", "--spec", str(spec),

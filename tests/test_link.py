@@ -124,10 +124,19 @@ class TestRunChain:
             run_chain(cfg, h_tx, h_rx, np.inf)
 
     def test_rejects_short_blocks(self):
-        cfg = LinkConfig(num_symbols=50, tx_len=11, rx_len=101)
+        cfg = LinkConfig(num_symbols=100, tx_len=11, rx_len=101)
         h_tx, h_rx = baseline_filters(cfg)
         with pytest.raises(ValueError):
             run_chain(cfg, h_tx, h_rx, 6.0)
+
+    def test_rejects_lpf_longer_than_block_before_design(self, monkeypatch):
+        # no such chain passes the transient check, and a huge num_taps
+        # would build its design grid while the config loads
+        def no_design(*args, **kwargs):
+            raise AssertionError("the LPF was designed")
+        monkeypatch.setattr(dsp, "super_gaussian_lpf", no_design)
+        with pytest.raises(ValueError, match="lpf.num_taps=4001"):
+            LinkConfig(num_symbols=1000, sps=4, lpf=LpfConfig(num_taps=4001))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(num_symbols=st.integers(1_500, 4_000), sps=st.sampled_from([2, 4]),
