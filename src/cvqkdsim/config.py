@@ -46,10 +46,10 @@ def _convert(value, hint, path: str):
             raise ConfigError(f"{path}: null is not allowed")
         non_none = [a for a in args if a is not type(None)]
         return _convert(value, non_none[0], path)
-    if origin in (list, tuple):
+    if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
-        (elem_hint,) = typing.get_args(hint)[:1] or (float,)
+        (elem_hint,) = typing.get_args(hint)
         return [_convert(v, elem_hint, f"{path}[{i}]") for i, v in enumerate(value)]
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
@@ -62,10 +62,6 @@ def _convert(value, hint, path: str):
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
         return value
     if hint is str:
         if not isinstance(value, str):

@@ -9,7 +9,6 @@ processed as two independent real rails through real-tapped filters.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +120,7 @@ def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
         out.real = np.convolve(sig.real, fir.taps)
         out.imag = np.convolve(sig.imag, fir.taps)
         return out
-    out = decimate((sig,), fir.taps, 1, 0, len(sig) + len(fir) - 1)[0]
+    out = decimate(sig, fir.taps, 1, 0, len(sig) + len(fir) - 1)
     return out if np.iscomplexobj(sig) else out.real
 
 
@@ -160,35 +159,34 @@ def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
     return sig[phase::sps]
 
 
-def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
-             start: int, count: int) -> list[np.ndarray]:
-    """``convolve(s, taps)[start::sps][:count]`` for each signal, computing
-    only the kept outputs.
+def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
+             count: int) -> np.ndarray:
+    """``convolve(sig, taps)[start::sps][:count]``, computing only the kept
+    outputs; the result is complex.
 
     Polyphase FFT decimator (Crochiere & Rabiner): tap row r is
-    ``taps[r::sps]`` and filters the phase row ``s[start - r + i*sps]``, so
+    ``taps[r::sps]`` and filters the phase row ``sig[start - r + i*sps]``, so
     output k is the sum over r of the rows' convolutions at i = k. Each
     phase row is cut into overlapping frames (overlap-save) that take one
     batched FFT; the phase spectra are multiplied by their tap spectra and
-    summed, and one batched inverse FFT per signal yields the kept samples.
+    summed, and one batched inverse FFT yields the kept samples.
     With ``sps=1`` there is one phase row and this is plain overlap-save;
-    ``start=0`` with ``count = len(s) + len(taps) - 1`` gives the full
+    ``start=0`` with ``count = len(sig) + len(taps) - 1`` gives the full
     convolution. Frame f holds phase samples ``f*step`` on, and every frame
     is cut the same way: the phase row's samples inside the signal are
     written once into the first ``step`` columns of a zeroed buffer, one
     frame per row, and each frame's overlap is copied from the next row.
-    All signals must have the same length.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
     if start < 0 or count < 0:
         raise ValueError(f"start and count must be >= 0, got {start}, {count}")
     taps = np.asarray(taps, dtype=float)
-    n = len(signals[0])
+    n = len(sig)
     full_len = n + len(taps) - 1 if n else 0
     kept = max(0, min(count, -(-(full_len - start) // sps)))
     if kept == 0:
-        return [np.zeros(0, dtype=complex) for _ in signals]
+        return np.zeros(0, dtype=complex)
     rows = -(-len(taps) // sps)  # length of the longest tap row
     # frames of at least 512 points keep the per-call cost of the batched
     # transforms small next to their arithmetic
@@ -198,30 +196,25 @@ def decimate(signals: Sequence[np.ndarray], taps: np.ndarray, sps: int,
     padded = np.zeros(rows * sps)
     padded[:len(taps)] = taps
     tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
-    out = []
-    for sig in signals:
-        for r in range(sps):
-            first = start - (rows - 1) * sps - r  # signal index of phase sample 0
-            i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
-            i1 = min(-(-(n - first) // sps), (num_frames + 1) * step)
-            # the extra row holds the last frame's overlap
-            frames = np.zeros((num_frames + 1, nfft), dtype=complex)
-            if i1 > i0:
-                _fill_rows(frames[:, :step], sig[first + i0 * sps::sps][:i1 - i0], i0)
-            frames[:-1, step:] = frames[1:, :rows - 1]
-            spectra = _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
-            spectra *= tap_spectra[r]
-            if r == 0:
-                total = spectra
-            else:
-                total += spectra
-            del frames, spectra
-        kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:]
-        del total
-        # kept_rows lives until the next signal's replaces it: an earlier free
-        # shifts the heap, and with it perfbench/run.py's probe-scaled times
-        out.append(kept_rows.reshape(-1)[:kept])
-    return out
+    for r in range(sps):
+        first = start - (rows - 1) * sps - r  # signal index of phase sample 0
+        i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
+        i1 = min(-(-(n - first) // sps), (num_frames + 1) * step)
+        # the extra row holds the last frame's overlap
+        frames = np.zeros((num_frames + 1, nfft), dtype=complex)
+        if i1 > i0:
+            _fill_rows(frames[:, :step], sig[first + i0 * sps::sps][:i1 - i0], i0)
+        frames[:-1, step:] = frames[1:, :rows - 1]
+        spectra = _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
+        spectra *= tap_spectra[r]
+        if r == 0:
+            total = spectra
+        else:
+            total += spectra
+        del frames, spectra
+    kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:]
+    del total
+    return kept_rows.reshape(-1)[:kept]
 
 
 def _fill_rows(block: np.ndarray, src: np.ndarray, i0: int) -> None:

@@ -65,8 +65,10 @@ class SweepSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.symbol_rate is not None and not self.symbol_rate > 0:
             raise ValueError(f"symbol_rate must be positive, got {self.symbol_rate}")
-        if self.eval_num_symbols is not None and self.eval_num_symbols < 1:
-            raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
+        if self.eval_num_symbols is not None:
+            if self.eval_num_symbols < 1:
+                raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
+            replace(self.env, num_symbols=self.eval_num_symbols)  # the eval block's checks
         if self.photon_grid is None:  # distance sweeps pin the photon number
             grid = [6.0] if self.kind == "distance-sweep" else \
                 list(np.geomspace(0.5, 40.0, 33))

@@ -119,7 +119,6 @@ class ParameterEstimate:
 
     tau_hat: float
     n_ex_hat: float  # raw residual power; may be slightly negative
-    num_symbols_used: int
 
     @property
     def n_ex_clipped(self) -> float:
@@ -144,16 +143,14 @@ class ChainResult:
     isi: IsiProfile
 
 
-def effective_response(h_tx: FirFilter, lpf: FirFilter | None,
-                       h_rx: FirFilter, sps: int = 4) -> IsiProfile:
+def effective_response(h_tx: FirFilter, lpf: FirFilter, h_rx: FirFilter,
+                       sps: int = 4) -> IsiProfile:
     """Convolve the deployed filters and sample the result at symbol spacing.
 
     The sampling phase is the peak of |z| (ties toward the smaller index)
     and the coefficient support covers the whole response.
     """
-    z = np.convolve(h_tx.taps, h_rx.taps)
-    if lpf is not None:
-        z = np.convolve(z, lpf.taps)
+    z = np.convolve(np.convolve(h_tx.taps, h_rx.taps), lpf.taps)
     delay = int(np.argmax(np.abs(z)))
     first = -(delay // sps)  # j of the earliest symbol-spaced tap
     coeff = {first + k: float(v) for k, v in enumerate(z[delay % sps::sps])}
@@ -168,23 +165,37 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> tx FIR at sps samples per symbol -> DAC -> LPF ->
-    sqrt(tau_ch) loss -> ADC -> rx FIR. The tx FIR is ``dsp.interpolate``,
-    which filters the symbols with the tap rows instead of the zero-stuffed
-    samples; the LPF is filtered full-length by ``dsp.convolve`` (overlap-save
-    at its 257 taps), and the rx FIR by ``dsp.decimate``, evaluated only at
-    the symbol-spaced outputs from the response peak on. Each stage's input
-    is released once the next stage has it.
-    Converter full scales are frozen from their unquantized inputs. The DAC
-    report is taken at the DAC plane; the ADC report compares the chain
-    output against an ADC-bypassed twin so that it is referred to the
-    symbol plane; without an ADC the report is zero and no twin is
-    filtered. Edge symbols inside the filter transient are trimmed.
-    Non-finite received symbols raise ``ValueError``.
+    sqrt(tau_ch) loss -> ADC -> rx FIR. The effective response and the
+    transient margin come first, so a block too short for the filters fails
+    before any signal work. The tx FIR is ``dsp.interpolate``, which filters
+    the symbols with the tap rows instead of the zero-stuffed samples; the
+    LPF is filtered full-length by ``dsp.convolve`` (overlap-save at its 257
+    taps), and the rx FIR by ``dsp.decimate``, evaluated only at the
+    ``num_symbols`` symbol-spaced outputs from the response peak on. Each
+    stage's input is released once the next stage has it.
+    Converter full scales are frozen from their unquantized inputs, and both
+    converter reports are built the same way: ``measure_noise`` of the
+    converter's output against its reference and the clip fraction of its
+    input. The DAC report is taken at the DAC plane; the ADC report compares
+    the chain output against an ADC-bypassed twin, filtered by the rx FIR
+    only when there is an ADC, so that it is referred to the symbol plane.
+    A bypassed converter reports zero. Edge symbols inside the filter
+    transient are trimmed. Non-finite received symbols raise ``ValueError``.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
     sps = config.sps
     lpf = config.lpf_filter()
+    isi = effective_response(h_tx, lpf, h_rx, sps)
+    # decimate keeps num_symbols outputs: from the response peak on, the rx
+    # convolution holds at least num_symbols * sps samples
+    margin = int(np.ceil(len(isi.response) / sps))
+    if config.num_symbols <= 2 * margin:
+        raise ValueError(
+            f"num_symbols={config.num_symbols} too small for the filter "
+            f"transient ({margin} symbols per edge)")
+    sl = slice(margin, config.num_symbols - margin)
+    bypassed = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
 
     symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
     shaped = dsp.interpolate(symbols, h_tx.taps, sps)
@@ -192,10 +203,11 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     if config.dac is not None:
         dac_scale = full_scale(shaped, config.dac)
         after_dac = quantize(shaped, config.dac, dac_scale)
-        dac_report = measure_noise(after_dac, shaped, dac_scale)
+        dac_report = QuantizationReport(measure_noise(after_dac, shaped),
+                                        clip_fraction(shaped, dac_scale))
     else:
         after_dac = shaped
-        dac_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+        dac_report = bypassed
     del shaped
 
     attenuated = dsp.convolve(after_dac, lpf)
@@ -205,38 +217,21 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     if config.adc is not None:
         adc_scale = full_scale(attenuated, config.adc)
         after_adc = quantize(attenuated, config.adc, adc_scale)
-        adc_clip = clip_fraction(attenuated, adc_scale)
-        signals = (after_adc, attenuated)
     else:
-        after_adc = None
-        signals = (attenuated,)  # the ADC-bypassed twin would be the output
-        adc_report = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
-
-    isi = effective_response(h_tx, lpf, h_rx, sps)
-    rx, *twin = dsp.decimate(signals, h_rx.taps, sps, isi.delay_index,
-                             config.num_symbols)
-    # the ADC output is freed before its input: the reverse order changes the
-    # heap that later allocations get, and with it the probe-scaled times of
-    # perfbench/run.py
-    del signals, after_adc, attenuated
-    if not all(np.all(np.isfinite(s)) for s in (rx, *twin)):
+        after_adc = attenuated
+    rx = dsp.decimate(after_adc, h_rx.taps, sps, isi.delay_index, config.num_symbols)
+    del after_adc
+    if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
-    tx = symbols[:len(rx)]
-
-    margin = int(np.ceil(len(isi.response) / sps))
-    if len(rx) <= 2 * margin:
-        raise ValueError(
-            f"num_symbols={config.num_symbols} too small for the filter "
-            f"transient ({margin} symbols per edge)")
-    sl = slice(margin, len(rx) - margin)
-    tx, rx = tx[sl], rx[sl]
-
-    if twin:
-        adc_report = QuantizationReport(
-            noise_power=measure_noise(rx, twin[0][sl]).noise_power,
-            clip_fraction=adc_clip)
-    return ChainResult(tx_symbols=tx, rx_symbols=rx, dac_report=dac_report,
-                       adc_report=adc_report, isi=isi)
+    if config.adc is not None:
+        twin = dsp.decimate(attenuated, h_rx.taps, sps, isi.delay_index,
+                            config.num_symbols)
+        adc_report = QuantizationReport(measure_noise(rx[sl], twin[sl]),
+                                        clip_fraction(attenuated, adc_scale))
+    else:
+        adc_report = bypassed
+    return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
+                       dac_report=dac_report, adc_report=adc_report, isi=isi)
 
 
 def estimate_parameters(tx_symbols: np.ndarray,
@@ -256,8 +251,7 @@ def estimate_parameters(tx_symbols: np.ndarray,
     gain = float(np.real(np.vdot(tx, rx)) / np.real(np.vdot(tx, tx)))
     residual = rx - gain * tx
     return ParameterEstimate(tau_hat=gain * gain,
-                             n_ex_hat=float(np.mean(np.abs(residual) ** 2)),
-                             num_symbols_used=len(tx))
+                             n_ex_hat=float(np.mean(np.abs(residual) ** 2)))
 
 
 def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,

@@ -2,8 +2,8 @@
 
 Signals are plain numpy arrays, real or complex. The full-scale amplitude
 is loaded from the signal itself, A = kappa * sigma with sigma the pooled
-RMS of the real rails, and can be frozen once per run so that reference and
-quantized paths share the same grid.
+RMS of the real rails; the chain loads it once per converter and passes it
+to ``quantize`` and ``clip_fraction``.
 """
 
 from __future__ import annotations
@@ -83,20 +83,17 @@ def _rails(sig: np.ndarray) -> np.ndarray:
     return np.asarray(sig, dtype=float)
 
 
-def quantize(sig: np.ndarray, spec: QuantizerSpec,
-             frozen_full_scale: float | None = None) -> np.ndarray:
+def quantize(sig: np.ndarray, spec: QuantizerSpec, full_scale: float) -> np.ndarray:
     """Clip each rail to [-A, A] and map to the nearest mid-rise level.
 
-    Reconstruction levels are +/-(k + 1/2) * Delta for k = 0 .. 2^(b-1) - 1.
-    A is taken from the signal unless ``frozen_full_scale`` pins it, in which
-    case the operation is idempotent for that grid.
+    Reconstruction levels are +/-(k + 1/2) * Delta for k = 0 .. 2^(b-1) - 1,
+    with A = ``full_scale``; the operation is idempotent for that grid.
     """
     if len(sig) == 0:
         raise ValueError("cannot quantize an empty signal")
-    a = full_scale(sig, spec) if frozen_full_scale is None else float(frozen_full_scale)
-    if a <= 0:
+    if not full_scale > 0:
         raise ValueError("full scale must be positive")
-    delta = spec.step(a)
+    delta = spec.step(full_scale)
     half_levels = 1 << (spec.bits - 1)
     out = np.empty(len(sig), dtype=complex if np.iscomplexobj(sig) else float)
     rails = out.view(float)  # interleaved real/imaginary rails
@@ -118,13 +115,9 @@ def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:
     return clipped / rails.size
 
 
-def measure_noise(quantized: np.ndarray, reference: np.ndarray,
-                  frozen_full_scale: float | None = None) -> QuantizationReport:
-    """Mean-square error of ``quantized`` against ``reference``.
-
-    When the full scale of the quantizer that produced ``quantized`` is
-    supplied, the report also carries the fraction of reference samples that
-    were clipped.
+def measure_noise(quantized: np.ndarray, reference: np.ndarray) -> float:
+    """Mean-square error of ``quantized`` against ``reference``, per complex
+    sample with both rails summed.
 
     The error is taken rail by rail in one float buffer, squared in place and
     averaged by numpy's pairwise mean, without the complex difference and
@@ -140,7 +133,4 @@ def measure_noise(quantized: np.ndarray, reference: np.ndarray,
         rails_per_sample = 1
     err = np.subtract(_rails(quantized), _rails(reference))
     np.square(err, out=err)
-    noise = rails_per_sample * float(np.mean(err))
-    frac = (clip_fraction(reference, frozen_full_scale)
-            if frozen_full_scale is not None else 0.0)
-    return QuantizationReport(noise_power=noise, clip_fraction=frac)
+    return rails_per_sample * float(np.mean(err))

@@ -19,6 +19,9 @@ from .link import LinkConfig, estimate_parameters, run_chain
 from .keyrate import secure_key_rate  # noqa: F401
 from .link import assemble_budget  # noqa: F401
 
+# weight of the old baseline in the moving average of batch-mean rewards
+BASELINE_DECAY = 0.9
+
 
 @dataclass(frozen=True)
 class GroupSigmas:
@@ -118,7 +121,6 @@ class Episode:
     raw_log_n: float
     params: TransceiverParams | None
     reward: float
-    seed: int
     error: str | None = None
 
 
@@ -130,7 +132,6 @@ class OptimizerConfig:
     sigma_init: GroupSigmas = field(default_factory=GroupSigmas)
     sigma_decay: float = 0.985
     sigma_floor: float = 1e-4
-    baseline_decay: float = 0.9
     seed: int = 0
     beta: float = DEFAULT_BETA
 
@@ -148,8 +149,6 @@ class OptimizerConfig:
             raise ValueError("iterations must be >= 0")
         if not 0.0 < self.sigma_decay <= 1.0:
             raise ValueError("sigma_decay must be in (0, 1]")
-        if not 0.0 <= self.baseline_decay < 1.0:
-            raise ValueError("baseline_decay must be in [0, 1)")
         SkrInputs(1.0, 1.0, 0.0, self.beta)  # the key rate's own beta check
 
 
@@ -199,12 +198,12 @@ def _episode_seeds(master_seed: int, iteration: int, index: int) -> tuple[int, i
 
 
 def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
-                   config: OptimizerConfig, chain_seed: int | None = None) -> Episode:
+                   config: OptimizerConfig, chain_seed: int) -> Episode:
     """Draw one Gaussian perturbation of the policy and evaluate it.
 
-    ``episode_seed`` drives the parameter perturbation; the chain keeps the
-    environment's own seed unless ``chain_seed`` overrides it (the optimizer
-    loop passes one derived seed shared by the whole batch). Chain failures
+    ``episode_seed`` drives the parameter perturbation and ``chain_seed``
+    the chain's symbols (the optimizer loop passes one derived seed shared
+    by the whole batch). Chain failures
     become episodes with an error flag, so that a non-physical sample cannot
     abort the optimizer; ``reinforce_update`` ranks them below every valid
     episode of their batch.
@@ -213,16 +212,14 @@ def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
     raw_tx = policy.theta_tx + policy.sigma.tx * rng.standard_normal(len(policy.theta_tx))
     raw_rx = policy.theta_rx + policy.sigma.rx * rng.standard_normal(len(policy.theta_rx))
     raw_log_n = policy.theta_log_n + policy.sigma.n * rng.standard_normal()
-    if chain_seed is None:
-        chain_seed = env.seed
     try:
         params = _decode(raw_tx, raw_rx, raw_log_n)
         reward = chain_reward(env, params, chain_seed, beta=config.beta)
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
-                       params=params, reward=reward, seed=episode_seed)
+                       params=params, reward=reward)
     except (ValueError, ArithmeticError) as exc:
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
-                       params=None, reward=0.0, seed=episode_seed, error=str(exc))
+                       params=None, reward=0.0, error=str(exc))
 
 
 def score_function_step(theta: np.ndarray, samples: np.ndarray,
@@ -248,10 +245,11 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
     """Score-function update of the policy mean from one episode batch.
 
     Each group takes its own step, the filter groups are renormalized to
-    unit energy, the baseline moves by EMA, and the sigmas decay. The
-    advantages are standardized by the batch reward spread, which makes the
-    step size rate * sigma in parameter units (an equal-reward batch
-    produces a zero step, and shifting every reward by a constant cancels).
+    unit energy, the baseline moves by EMA (``BASELINE_DECAY``), and the
+    sigmas decay. The advantages are standardized by the batch reward
+    spread, which makes the step size rate * sigma in parameter units (an
+    equal-reward batch produces a zero step, and shifting every reward by a
+    constant cancels).
     A failed episode takes the lowest valid reward of its batch, since
     valid rewards may be negative; a batch with no valid episode takes a
     zero step.
@@ -287,8 +285,8 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
     theta_rx = theta_rx / np.linalg.norm(theta_rx)
 
     new_baseline = (float(rewards.mean()) if policy.baseline is None
-                    else config.baseline_decay * policy.baseline
-                    + (1.0 - config.baseline_decay) * float(rewards.mean()))
+                    else BASELINE_DECAY * policy.baseline
+                    + (1.0 - BASELINE_DECAY) * float(rewards.mean()))
 
     best_params, best_reward = policy.best_params, policy.best_reward
     for ep in batch:
@@ -303,7 +301,7 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
 
 def _episode_task(args) -> Episode:
     policy, env, ep_seed, chain_seed, config = args
-    return sample_episode(policy, env, ep_seed, config, chain_seed=chain_seed)
+    return sample_episode(policy, env, ep_seed, config, chain_seed)
 
 
 def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
@@ -364,7 +362,7 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
 def reinforce_search(reward_fn, theta0: np.ndarray, iterations: int = 500,
                      batch_size: int = 32, learning_rate: float = 0.05,
                      sigma: float = 0.1, sigma_decay: float = 0.99,
-                     sigma_floor: float = 1e-4, baseline_decay: float = 0.9,
+                     sigma_floor: float = 1e-4,
                      seed: int = 0) -> tuple[np.ndarray, list[float]]:
     """Plain black-box REINFORCE over one unconstrained parameter vector.
 
@@ -384,8 +382,8 @@ def reinforce_search(reward_fn, theta0: np.ndarray, iterations: int = 500,
         theta = score_function_step(theta, samples, rewards, b, sigma,
                                     learning_rate)
         baseline = (float(rewards.mean()) if baseline is None
-                    else baseline_decay * baseline
-                    + (1.0 - baseline_decay) * float(rewards.mean()))
+                    else BASELINE_DECAY * baseline
+                    + (1.0 - BASELINE_DECAY) * float(rewards.mean()))
         best = max(best, float(rewards.max()))
         best_trace.append(best)
         sigma = max(sigma * sigma_decay, sigma_floor)

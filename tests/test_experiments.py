@@ -53,7 +53,6 @@ _optimizer = st.builds(
     iterations=st.integers(0, 2**31),
     sigma_init=st.builds(GroupSigmas, tx=_positive, rx=_positive, n=_positive),
     sigma_decay=st.floats(0.0, 1.0, exclude_min=True), sigma_floor=_non_negative,
-    baseline_decay=st.floats(0.0, 1.0, exclude_max=True),
     seed=st.integers(0, 2**64 - 1), beta=st.floats(0.0, 1.0, exclude_min=True))
 _reference = st.builds(ReferencePoint, ref_taps=_count, ref_bits=st.integers(1, 62))
 # every sweep axis non-empty, so that each kind is valid
@@ -338,6 +337,7 @@ class TestConfigLoading:
         assert defaults["sweep"] == asdict(SweepSpec())
         assert "photon_mode" not in defaults["sweep"]
         assert "mean_photon" not in defaults["sweep"]
+        assert "baseline_decay" not in defaults["optimizer"]
 
     @pytest.mark.parametrize("kind", experiments.SWEEP_KINDS)
     def test_default_photon_grid_by_kind(self, kind):
@@ -489,7 +489,7 @@ class TestCli:
     @pytest.mark.parametrize("section,key", [
         ("optimizer", "clip_reward"), ("optimizer", "use_estimated_params"),
         ("optimizer", "common_random_numbers"), ("optimizer", "adaptive_step"),
-        ("env", "include_lpf_in_response")])
+        ("optimizer", "baseline_decay"), ("env", "include_lpf_in_response")])
     def test_removed_key_is_config_error(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "opt.json"
         cfg.write_text(json.dumps({section: {key: True}}))
@@ -521,9 +521,11 @@ class TestCli:
         ({"photon_grid": [0.0, 1.0]}, "photon grid must be positive"),
         ({"photon_grid": [2.0, 1.0]}, "photon grid must be sorted"),
         ({"eval_num_symbols": 0}, "eval_num_symbols"),
+        # too short for the 257-tap LPF at 4 samples per symbol
+        ({"eval_num_symbols": 10}, "lpf.num_taps=257"),
         ({"symbol_rate": -1.0}, "symbol_rate")],
         ids=["non_positive_grid", "unsorted_grid", "no_eval_symbols",
-             "negative_symbol_rate"])
+             "short_eval_block", "negative_symbol_rate"])
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, fields,
                                              message):
         spec = tmp_path / "spec.json"

@@ -43,30 +43,30 @@ class TestEffectiveResponse:
         for _ in range(20):
             h_tx = FirFilter(rng.normal(size=9)).unit_energy()
             h_rx = FirFilter(rng.normal(size=17)).unit_energy()
-            prof = effective_response(h_tx, None, h_rx)
+            prof = effective_response(h_tx, FirFilter([1.0]), h_rx)
             assert prof.c0_sq <= 1.0 + 1e-9
 
     def test_scaling_covariance(self):
         h_tx = truncated_rrc(11)
         h_rx = truncated_rrc(41)
         gamma = 3.7
-        base = effective_response(h_tx, None, h_rx)
-        scaled = effective_response(FirFilter(gamma * h_tx.taps), None,
+        base = effective_response(h_tx, FirFilter([1.0]), h_rx)
+        scaled = effective_response(FirFilter(gamma * h_tx.taps), FirFilter([1.0]),
                                     FirFilter(h_rx.taps / gamma))
         for j, value in base.coefficients.items():
             assert scaled.coefficients[j] == pytest.approx(value, abs=1e-12)
 
     def test_nyquist_iff_no_symbol_spaced_leakage(self):
         # single-tap cascade: exactly Nyquist
-        clean = effective_response(_delta(5), None, _delta(5), sps=4)
+        clean = effective_response(_delta(5), FirFilter([1.0]), _delta(5), sps=4)
         assert clean.isi_sum <= 1e-12
         off = clean.delay_index
         for j, val in clean.coefficients.items():
             if j != 0:
                 assert abs(val) <= 1e-12
         # two taps one symbol apart: leaks exactly there
-        leaky = effective_response(FirFilter([1.0, 0.0, 0.0, 0.0, 0.5]), None,
-                                   FirFilter([1.0]), sps=4)
+        leaky = effective_response(FirFilter([1.0, 0.0, 0.0, 0.0, 0.5]),
+                                   FirFilter([1.0]), FirFilter([1.0]), sps=4)
         assert leaky.isi_sum > 1e-3
         assert any(abs(v) > 1e-3 for j, v in leaky.coefficients.items() if j != 0)
 
@@ -129,6 +129,15 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(cfg, h_tx, h_rx, 6.0)
 
+    def test_short_block_fails_before_any_signal_work(self, monkeypatch):
+        # the transient margin needs only the filters, so no symbol is drawn
+        def no_symbols(*args, **kwargs):
+            raise AssertionError("symbols were drawn")
+        monkeypatch.setattr(dsp, "generate_symbols", no_symbols)
+        cfg = LinkConfig(num_symbols=184, tx_len=11, rx_len=101)
+        with pytest.raises(ValueError, match="transient"):
+            run_chain(cfg, *baseline_filters(cfg), 6.0)
+
     def test_rejects_lpf_longer_than_block_before_design(self, monkeypatch):
         # no such chain passes the transient check, and a huge num_taps
         # would build its design grid while the config loads
@@ -182,19 +191,19 @@ class TestRunChain:
 
     def test_without_adc_the_rx_filter_runs_once(self, monkeypatch):
         # no ADC-bypassed twin is filtered when there is no ADC to measure
-        signals_per_rx_call = []
+        rx_calls = []
         decimate = dsp.decimate
 
-        def counting(signals, taps, sps, start, count):
+        def counting(sig, taps, sps, start, count):
             if sps > 1:
-                signals_per_rx_call.append(len(signals))
-            return decimate(signals, taps, sps, start, count)
+                rx_calls.append(start)
+            return decimate(sig, taps, sps, start, count)
 
         monkeypatch.setattr(dsp, "decimate", counting)
         cfg = LinkConfig(distance_km=10.0, adc=None, num_symbols=5_000,
                          tx_len=11, rx_len=41, seed=2)
         res = run_chain(cfg, *baseline_filters(cfg), 6.0)
-        assert signals_per_rx_call == [1]
+        assert len(rx_calls) == 1
         assert res.adc_report == QuantizationReport(noise_power=0.0, clip_fraction=0.0)
 
 
@@ -225,7 +234,7 @@ class TestEstimateParameters:
 
     def test_negative_raw_estimate_is_clipped_for_reward(self):
         est = type(estimate_parameters(np.ones(1000) + 0j, np.ones(1000) + 0j))(
-            tau_hat=0.5, n_ex_hat=-1e-9, num_symbols_used=1000)
+            tau_hat=0.5, n_ex_hat=-1e-9)
         assert est.n_ex_clipped == 0.0
         assert est.n_ex_hat == -1e-9
 
@@ -233,8 +242,7 @@ class TestEstimateParameters:
         (1.2, -1e-9, 1.0, 1e-3), (0.5, 2e-3, 0.5, 3e-3)])
     def test_key_rate_inputs_cap_tau_and_clip_noise(self, tau_hat, n_ex_hat,
                                                      tau, n_ex):
-        est = ParameterEstimate(tau_hat=tau_hat, n_ex_hat=n_ex_hat,
-                                num_symbols_used=1000)
+        est = ParameterEstimate(tau_hat=tau_hat, n_ex_hat=n_ex_hat)
         assert est.key_rate_inputs(2.0, 1e-3, beta=0.95) == \
             SkrInputs(mean_photon=2.0, transmittance=tau, excess_photons=n_ex,
                       beta=0.95)

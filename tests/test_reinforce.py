@@ -31,8 +31,10 @@ class TestSampleEpisode:
         env = _small_env()
         policy = _policy(env, sigma=GroupSigmas(tx=0.0, rx=0.0, n=0.0))
         cfg = OptimizerConfig(batch_size=2, iterations=1)
-        ep_a = sample_episode(policy, env, episode_seed=1, config=cfg)
-        ep_b = sample_episode(policy, env, episode_seed=2, config=cfg)
+        ep_a = sample_episode(policy, env, episode_seed=1, config=cfg,
+                              chain_seed=env.seed)
+        ep_b = sample_episode(policy, env, episode_seed=2, config=cfg,
+                              chain_seed=env.seed)
         np.testing.assert_array_equal(ep_a.raw_tx, policy.theta_tx)
         np.testing.assert_array_equal(ep_a.raw_rx, policy.theta_rx)
         assert ep_a.raw_log_n == policy.theta_log_n
@@ -42,8 +44,10 @@ class TestSampleEpisode:
         env = _small_env()
         policy = _policy(env)
         cfg = OptimizerConfig(batch_size=2, iterations=1)
-        one = sample_episode(policy, env, episode_seed=5, config=cfg)
-        two = sample_episode(policy, env, episode_seed=5, config=cfg)
+        one = sample_episode(policy, env, episode_seed=5, config=cfg,
+                             chain_seed=env.seed)
+        two = sample_episode(policy, env, episode_seed=5, config=cfg,
+                             chain_seed=env.seed)
         assert one.reward == two.reward
         np.testing.assert_array_equal(one.raw_tx, two.raw_tx)
 
@@ -51,7 +55,8 @@ class TestSampleEpisode:
         env = _small_env(tx_len=41, rx_len=41)
         policy = _policy(env, sigma=GroupSigmas(tx=1e-3, rx=0.0, n=0.0))
         cfg = OptimizerConfig(batch_size=2, iterations=1)
-        rewards = [sample_episode(policy, env, episode_seed=s, config=cfg).reward
+        rewards = [sample_episode(policy, env, episode_seed=s, config=cfg,
+                                  chain_seed=env.seed).reward
                    for s in range(10)]
         spread = (max(rewards) - min(rewards)) / abs(np.mean(rewards))
         assert spread < 0.01
@@ -63,7 +68,8 @@ class TestSampleEpisode:
         with pytest.raises(ValueError, match="log_n = 800"):
             policy.decode()
         ep = sample_episode(policy, env, episode_seed=1,
-                            config=OptimizerConfig(batch_size=2, iterations=1))
+                            config=OptimizerConfig(batch_size=2, iterations=1),
+                            chain_seed=env.seed)
         assert ep.params is None and "log_n" in ep.error
 
 
@@ -76,7 +82,8 @@ class TestSampleEpisode:
         policy = replace(_policy(env, sigma=GroupSigmas(tx=0.0, rx=0.0, n=0.0)),
                          theta_log_n=log_n)
         ep = sample_episode(policy, env, episode_seed=1,
-                            config=OptimizerConfig(batch_size=2, iterations=1))
+                            config=OptimizerConfig(batch_size=2, iterations=1),
+                            chain_seed=env.seed)
         assert ep.params is None and "overflows" in ep.error
 
 
@@ -84,14 +91,14 @@ class TestReinforceUpdate:
     def _batch(self, policy, rewards, seed=0):
         rng = np.random.default_rng(seed)
         episodes = []
-        for i, r in enumerate(rewards):
+        for r in rewards:
             raw_tx = policy.theta_tx + policy.sigma.tx * rng.standard_normal(
                 len(policy.theta_tx))
             raw_rx = policy.theta_rx + policy.sigma.rx * rng.standard_normal(
                 len(policy.theta_rx))
             raw_n = policy.theta_log_n + policy.sigma.n * rng.standard_normal()
             episodes.append(Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_n,
-                                    params=None, reward=float(r), seed=i))
+                                    params=None, reward=float(r)))
         return episodes
 
     def test_equal_rewards_leave_mean_unchanged(self):
@@ -136,8 +143,7 @@ class TestReinforceUpdate:
     @staticmethod
     def _at_log_n(policy, log_n, reward, error=None):
         return Episode(raw_tx=policy.theta_tx, raw_rx=policy.theta_rx,
-                       raw_log_n=log_n, params=None, reward=reward, seed=0,
-                       error=error)
+                       raw_log_n=log_n, params=None, reward=reward, error=error)
 
     def test_failed_episodes_rank_below_negative_rewards(self):
         # lossy links give negative valid rewards; a failure (reward 0.0)
