@@ -13,7 +13,8 @@ import numpy as np
 import scipy
 
 from .keyrate import DEFAULT_BETA, secure_key_rate
-from .link import LinkConfig, baseline_filters, estimate_parameters, run_chain
+from .link import (LinkConfig, baseline_filters, estimate_parameters, run_chain,
+                   transient_margin)
 from .quantization import QuantizerSpec
 from .reinforce import (OptimizerConfig, PolicyState, TransceiverParams,
                         optimize)
@@ -156,21 +157,20 @@ def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
 
     The initial operating point is a contender, so the optimized result
     can never fall below its own starting point at the shared evaluation
-    seed. A contender that is None or whose chain fails is dropped, so a
-    failing start cannot abort the sweep.
+    seed. A contender whose chain fails is dropped, so a failing start
+    cannot abort the sweep; when both fail, the error names both causes.
     """
     opt = optimize(env, init, spec.optimizer, workers=workers)
-    scored = []
-    for params in (opt.best_params, init.decode()):
-        if params is None:
-            continue
+    scored, errors = [], []
+    for name, params in (("optimized", opt.best_params), ("initial", init.decode())):
         try:
             scored.append((_evaluate_point(eval_env, params, spec.optimizer.beta),
                            params))
-        except (ValueError, ArithmeticError):
-            continue
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{name}: {exc}")
     if not scored:
-        raise ValueError("neither the optimized nor the initial point evaluates")
+        raise ValueError("neither the optimized nor the initial point evaluates ("
+                         + "; ".join(errors) + ")")
     out, best = max(scored, key=lambda pair: pair[0]["skr_bits_per_symbol"])
     out["rl_iterations"] = spec.optimizer.iterations
     out["rl_best_reward"] = opt.best_reward
@@ -183,6 +183,30 @@ def _scan(spec: SweepSpec, env: LinkConfig, grid: list[float]) -> tuple[dict, li
     return photon_scan(env, grid, *baseline_filters(env), beta=spec.optimizer.beta)
 
 
+def _check_transients(spec: SweepSpec) -> None:
+    """Raise ``ValueError`` when a block the sweep runs keeps no symbol.
+
+    The grid points and the taps-bits reference are checked against
+    ``transient_margin`` at the evaluation block, and the grid points also
+    at ``env.num_symbols`` when the sweep optimizes, since the optimizer's
+    chains run there.
+    """
+    points = [("grid point " + ", ".join(f"{k}={v}" for k, v in axis.items()), env)
+              for axis, env in _grid_points(spec)]
+    checks = [(name, _eval_env(spec, env)) for name, env in points]
+    if spec.mode != "unoptimized":
+        checks += [(f"{name} (optimizer block)", env) for name, env in points]
+    if spec.kind == "taps-bits-grid":
+        taps = spec.reference.ref_taps
+        checks.append((f"taps-bits reference taps={taps}",
+                       _eval_env(spec, replace(spec.env, tx_len=taps, rx_len=taps))))
+    for name, block in checks:
+        try:
+            transient_margin(block, block.tx_len, block.rx_len)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     """Evaluate every grid point of the sweep and return its records.
 
@@ -192,6 +216,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     photon number is a one-point grid. Anchors are kept by link config, so
     a taps-bits reference that is also a grid point is evaluated once; a
     reference without key raises ``ValueError``, since the gap is undefined.
+    A grid block too short for a point's filter transient raises
+    ``ValueError`` before the first chain runs.
     """
     size = spec.grid_size()
     if size > spec.max_points:
@@ -211,6 +237,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
                      **_rate_fields(spec, row["skr_bits_per_symbol"])},
             seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
+    _check_transients(spec)
     grid = spec.photon_grid
 
     @cache

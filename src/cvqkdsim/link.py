@@ -134,12 +134,15 @@ class ParameterEstimate:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Aligned symbols plus the per-converter reports and the ISI profile."""
+    """Aligned symbols plus the per-converter reports and the ISI profile.
+
+    Both reports are None when the chain ran with ``reports=False``.
+    """
 
     tx_symbols: np.ndarray
     rx_symbols: np.ndarray
-    dac_report: QuantizationReport
-    adc_report: QuantizationReport
+    dac_report: QuantizationReport | None
+    adc_report: QuantizationReport | None
     isi: IsiProfile
 
 
@@ -160,15 +163,32 @@ def effective_response(h_tx: FirFilter, lpf: FirFilter, h_rx: FirFilter,
                       c0_sq=c0_sq, isi_sum=isi_sum)
 
 
+def transient_margin(config: LinkConfig, tx_len: int, rx_len: int) -> int:
+    """Symbols trimmed from each edge of a chain with these filter lengths.
+
+    The margin is ceil(len(z) / sps) for the effective response z of the tx
+    filter, the LPF and the rx filter, len(z) = tx_len + rx_len +
+    lpf.num_taps - 2. Raises ``ValueError`` naming it when the block of
+    ``config.num_symbols`` keeps no symbol.
+    """
+    margin = -(-(tx_len + rx_len + config.lpf.num_taps - 2) // config.sps)
+    if config.num_symbols <= 2 * margin:
+        raise ValueError(
+            f"num_symbols={config.num_symbols} too small for the filter "
+            f"transient ({margin} symbols per edge)")
+    return margin
+
+
 def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
-              mean_photon: float) -> ChainResult:
+              mean_photon: float, reports: bool = True) -> ChainResult:
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> tx FIR at sps samples per symbol -> DAC -> LPF ->
     sqrt(tau_ch) loss -> ADC -> rx FIR. The effective response and the
-    transient margin come first, so a block too short for the filters fails
-    before any signal work. The tx FIR is ``dsp.interpolate``, which filters
-    the symbols with the tap rows instead of the zero-stuffed samples; the
+    transient margin (``transient_margin``) come first, so a block too
+    short for the filters fails before any signal work. The tx FIR is
+    ``dsp.interpolate``, which filters the symbols with the tap rows
+    instead of the zero-stuffed samples; the
     LPF is filtered full-length by ``dsp.convolve`` (overlap-save at its 257
     taps), and the rx FIR by ``dsp.decimate``, evaluated only at the
     ``num_symbols`` symbol-spaced outputs from the response peak on. Each
@@ -181,6 +201,13 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     only when there is an ADC, so that it is referred to the symbol plane.
     A bypassed converter reports zero. Edge symbols inside the filter
     transient are trimmed. Non-finite received symbols raise ``ValueError``.
+
+    With ``reports=False`` both reports are None, and the chain skips the
+    work only they need: the DAC's ``measure_noise`` and clip fraction, the
+    rx filtering of the ADC-bypassed twin, and the ADC's ``measure_noise``
+    and clip fraction. The converters still load their full scales and
+    quantize, and ``decimate`` filters each signal on its own, so the
+    symbols and the ISI profile are the same bits as with reports.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
@@ -189,13 +216,10 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     isi = effective_response(h_tx, lpf, h_rx, sps)
     # decimate keeps num_symbols outputs: from the response peak on, the rx
     # convolution holds at least num_symbols * sps samples
-    margin = int(np.ceil(len(isi.response) / sps))
-    if config.num_symbols <= 2 * margin:
-        raise ValueError(
-            f"num_symbols={config.num_symbols} too small for the filter "
-            f"transient ({margin} symbols per edge)")
+    margin = transient_margin(config, len(h_tx), len(h_rx))
     sl = slice(margin, config.num_symbols - margin)
     bypassed = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+    dac_report = adc_report = bypassed if reports else None
 
     symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
     shaped = dsp.interpolate(symbols, h_tx.taps, sps)
@@ -203,11 +227,11 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     if config.dac is not None:
         dac_scale = full_scale(shaped, config.dac)
         after_dac = quantize(shaped, config.dac, dac_scale)
-        dac_report = QuantizationReport(measure_noise(after_dac, shaped),
-                                        clip_fraction(shaped, dac_scale))
+        if reports:
+            dac_report = QuantizationReport(measure_noise(after_dac, shaped),
+                                            clip_fraction(shaped, dac_scale))
     else:
         after_dac = shaped
-        dac_report = bypassed
     del shaped
 
     attenuated = dsp.convolve(after_dac, lpf)
@@ -223,13 +247,11 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     del after_adc
     if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
-    if config.adc is not None:
+    if reports and config.adc is not None:
         twin = dsp.decimate(attenuated, h_rx.taps, sps, isi.delay_index,
                             config.num_symbols)
         adc_report = QuantizationReport(measure_noise(rx[sl], twin[sl]),
                                         clip_fraction(attenuated, adc_scale))
-    else:
-        adc_report = bypassed
     return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
                        dac_report=dac_report, adc_report=adc_report, isi=isi)
 

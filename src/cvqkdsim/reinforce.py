@@ -176,10 +176,11 @@ def chain_reward(env: LinkConfig, params: TransceiverParams, chain_seed: int,
 
     The reward mirrors the measurement pipeline: the unclipped
     Devetak-Winter rate at (tau_hat, n_ex_hat + n_ch) estimated from the
-    received data.
+    received data. It reads only the symbols, so the chain skips the
+    converter reports.
     """
     result = run_chain(replace(env, seed=chain_seed), params.h_tx, params.h_rx,
-                       params.mean_photon)
+                       params.mean_photon, reports=False)
     est = estimate_parameters(result.tx_symbols, result.rx_symbols)
     return devetak_winter_rate(est.key_rate_inputs(
         params.mean_photon, env.channel_excess_photons, beta))

@@ -113,6 +113,43 @@ class TestRunSweep:
         assert np.isfinite(records[0].outputs["skr_bits_per_symbol"])
         assert records[0].outputs["mean_photon"] < 1e100
 
+    @pytest.mark.parametrize("overrides,message", [
+        # 11/21 taps and the 257-tap LPF: ceil(287 / 4) = 72 symbols per edge
+        ({"eval_num_symbols": 100},
+         r"grid point bits=8: num_symbols=100 too small for the filter transient "
+         r"\(72 symbols per edge\)"),
+        ({"env": _tiny_env(num_symbols=140), "eval_num_symbols": 3_000},
+         r"grid point bits=8 \(optimizer block\): num_symbols=140 .*transient"),
+        ({"kind": "taps-bits-grid", "taps": [21], "eval_num_symbols": 1_000},
+         r"taps-bits reference taps=1001: num_symbols=1000 .*transient "
+         r"\(565 symbols per edge\)")],
+        ids=["eval_block", "optimizer_block", "reference"])
+    def test_short_block_fails_before_any_chain(self, monkeypatch, overrides, message):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        spec = SweepSpec(**{**dict(kind="bits-sweep", bits=[8], env=_tiny_env(),
+                                   mode="optimized", photon_grid=[2.0],
+                                   optimizer=_tiny_optimizer()), **overrides})
+        with pytest.raises(ValueError, match=message):
+            run_sweep(spec)
+
+    def test_short_optimizer_block_is_fine_without_optimizing(self):
+        spec = SweepSpec(kind="bits-sweep", bits=[8], env=_tiny_env(num_symbols=140),
+                         mode="unoptimized", photon_grid=[2.0], eval_num_symbols=3_000,
+                         optimizer=_tiny_optimizer())
+        assert np.isfinite(run_sweep(spec)[0].outputs["skr_bits_per_symbol"])
+
+    def test_both_contenders_failing_names_each_cause(self):
+        spec = SweepSpec(kind="bits-sweep", bits=[8], env=_tiny_env(),
+                         optimizer=_tiny_optimizer())
+        init = reinforce.PolicyState.from_params(
+            reinforce.TransceiverParams(*baseline_filters(spec.env), 2.0))
+        with pytest.raises(ValueError, match=r"\(optimized: .*transient.*; initial: .*transient"):
+            experiments._optimized_point(spec.env, replace(spec.env, num_symbols=100),
+                                         spec, init, workers=1)
+
     def test_at_most_one_scan_per_grid_point(self, monkeypatch):
         calls = []
         scan = experiments.photon_scan

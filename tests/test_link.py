@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkdsim import dsp
+from cvqkdsim import dsp, link
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
 from cvqkdsim.keyrate import SkrInputs
 from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, ParameterEstimate,
                            assemble_budget, baseline_filters, effective_response,
-                           estimate_parameters, run_chain)
+                           estimate_parameters, run_chain, transient_margin)
 from cvqkdsim.quantization import QuantizationReport, QuantizerSpec
 
 
@@ -113,15 +113,17 @@ class TestRunChain:
         with pytest.raises(ValueError, match="mean_photon"):
             run_chain(cfg, h_tx, h_rx, float("nan"))
 
-    @pytest.mark.parametrize("bypass", [{}, {"dac": None, "adc": None}],
-                             ids=["converters", "no_converters"])
-    def test_rejects_nonfinite_output(self, bypass):
+    @pytest.mark.parametrize("bypass,reports", [
+        ({}, True), ({"dac": None, "adc": None}, True),
+        ({"dac": None, "adc": None}, False)],
+        ids=["converters", "no_converters", "no_converters_no_reports"])
+    def test_rejects_nonfinite_output(self, bypass, reports):
         # caught by the DAC's full scale, or without converters by the
-        # chain's finite check at its output
+        # chain's finite check at its output, which runs without reports too
         cfg = LinkConfig(num_symbols=5_000, tx_len=11, rx_len=41, **bypass)
         h_tx, h_rx = baseline_filters(cfg)
         with pytest.raises(ValueError, match="non-finite"):
-            run_chain(cfg, h_tx, h_rx, np.inf)
+            run_chain(cfg, h_tx, h_rx, np.inf, reports=reports)
 
     def test_rejects_short_blocks(self):
         cfg = LinkConfig(num_symbols=100, tx_len=11, rx_len=101)
@@ -205,6 +207,54 @@ class TestRunChain:
         res = run_chain(cfg, *baseline_filters(cfg), 6.0)
         assert len(rx_calls) == 1
         assert res.adc_report == QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dac": None}, {"adc": None},
+        {"dac": QuantizerSpec(bits=16), "adc": QuantizerSpec(bits=16),
+         "tx_len": 1001, "rx_len": 1001}],
+        ids=["10_bit", "no_dac", "no_adc", "1001_taps_16_bit"])
+    def test_without_reports_symbols_match_bit_for_bit(self, monkeypatch, overrides):
+        # the converters still load and quantize, and decimate filters each
+        # signal on its own, so dropping the reports and the twin changes no bit
+        cfg = LinkConfig(distance_km=30.0, num_symbols=5_000, seed=4, **overrides)
+        h_tx, h_rx = baseline_filters(cfg)
+        full = run_chain(cfg, h_tx, h_rx, 3.0)
+        calls = []
+        decimate = dsp.decimate
+
+        def counting(sig, taps, sps, start, count):
+            if sps > 1:
+                calls.append("rx")
+            return decimate(sig, taps, sps, start, count)
+
+        monkeypatch.setattr(dsp, "decimate", counting)
+        for name in ("measure_noise", "clip_fraction"):
+            monkeypatch.setattr(link, name, lambda *a, name=name: calls.append(name))
+        bare = run_chain(cfg, h_tx, h_rx, 3.0, reports=False)
+        assert calls == ["rx"]  # no twin, no report
+        assert (bare.dac_report, bare.adc_report) == (None, None)
+        np.testing.assert_array_equal(bare.tx_symbols, full.tx_symbols)
+        np.testing.assert_array_equal(bare.rx_symbols, full.rx_symbols)
+        np.testing.assert_array_equal(bare.isi.response, full.isi.response)
+        assert (bare.isi.delay_index, bare.isi.coefficients, bare.isi.c0_sq,
+                bare.isi.isi_sum) == (full.isi.delay_index, full.isi.coefficients,
+                                      full.isi.c0_sq, full.isi.isi_sum)
+
+
+class TestTransientMargin:
+    @pytest.mark.parametrize("tx_len,rx_len,lpf_taps,sps", [
+        (11, 101, 257, 4), (1001, 1001, 257, 4), (1, 1, 33, 2), (11, 21, 65, 4)])
+    def test_is_the_effective_response_in_symbols(self, tx_len, rx_len, lpf_taps, sps):
+        cfg = LinkConfig(num_symbols=10_000, sps=sps, lpf=LpfConfig(num_taps=lpf_taps))
+        z = effective_response(FirFilter(np.ones(tx_len)), cfg.lpf_filter(),
+                               FirFilter(np.ones(rx_len)), sps).response
+        assert transient_margin(cfg, tx_len, rx_len) == int(np.ceil(len(z) / sps))
+
+    def test_rejects_block_without_kept_symbols(self):
+        # 11/101 taps with the 257-tap LPF: ceil(367 / 4) = 92 symbols per edge
+        with pytest.raises(ValueError, match=r"num_symbols=184 .*\(92 symbols per edge\)"):
+            transient_margin(LinkConfig(num_symbols=184), 11, 101)
+        assert transient_margin(LinkConfig(num_symbols=185), 11, 101) == 92
 
 
 class TestEstimateParameters:

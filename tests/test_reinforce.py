@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvqkdsim.link import LinkConfig, baseline_filters, effective_response
+from cvqkdsim.keyrate import devetak_winter_rate
+from cvqkdsim.link import (LinkConfig, baseline_filters, effective_response,
+                           estimate_parameters, run_chain)
 from cvqkdsim.quantization import QuantizerSpec
 from cvqkdsim.reinforce import (Episode, GroupSigmas, OptimizerConfig,
                                 PolicyState, TransceiverParams, chain_reward,
@@ -24,6 +26,24 @@ def _policy(env, mean_photon=2.5, sigma=None):
     h_tx, h_rx = baseline_filters(env)
     return PolicyState.from_params(TransceiverParams(h_tx, h_rx, mean_photon),
                                    sigma=sigma if sigma is not None else GroupSigmas())
+
+
+class TestChainReward:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dac": None}, {"adc": None},
+        {"dac": QuantizerSpec(bits=16), "adc": QuantizerSpec(bits=16),
+         "tx_len": 1001, "rx_len": 1001}],
+        ids=["12_bit", "no_dac", "no_adc", "1001_taps_16_bit"])
+    def test_equals_rate_of_the_full_chain(self, overrides):
+        # the reward skips the converter reports; the rate is the same bits
+        env = _small_env(**overrides)
+        params = _policy(env).decode()
+        full = run_chain(replace(env, seed=7), params.h_tx, params.h_rx,
+                         params.mean_photon)
+        est = estimate_parameters(full.tx_symbols, full.rx_symbols)
+        expected = devetak_winter_rate(est.key_rate_inputs(
+            params.mean_photon, env.channel_excess_photons))
+        assert chain_reward(env, params, chain_seed=7) == expected
 
 
 class TestSampleEpisode:
