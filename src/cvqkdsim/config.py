@@ -12,7 +12,7 @@ import types
 import typing
 from pathlib import Path
 
-from .experiments import ReferencePoint, SweepSpec
+from .experiments import ReferencePoint, SweepSpec, _check_transients
 from .link import LinkConfig, LpfConfig
 from .quantization import QuantizerSpec
 from .reinforce import GroupSigmas, OptimizerConfig
@@ -104,7 +104,14 @@ def load_link_config(path: str | Path) -> LinkConfig:
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    return dataclass_from_dict(SweepSpec, load_json(path))
+    """Load a sweep spec; a block too short for a grid point's filter
+    transient is a config error here, before any chain runs."""
+    spec = dataclass_from_dict(SweepSpec, load_json(path))
+    try:
+        _check_transients(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return spec
 
 
 def load_optimize_run(path: str | Path) -> OptimizeRun:

@@ -9,6 +9,7 @@ processed as two independent real rails through real-tapped filters.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,9 @@ def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     (complex) signal runs once through ``decimate`` at one sample per output,
     which is overlap-save, so both rails share one FFT. A real input gives a
     real output. The chain calls it for the LPF and, through
-    ``interpolate``, for each tx tap row; the rx filter runs through
-    ``decimate``.
+    ``interpolate``, for each tap row shorter than ``_FFT_MIN_TAPS`` (the
+    11-tap tx filter); longer tx filters run ``interpolate``'s own
+    full-rate overlap-save, and the rx filter runs through ``decimate``.
     """
     sig = np.asarray(sig)
     if len(sig) == 0:
@@ -126,12 +128,21 @@ def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
 
 def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     """``convolve(upsample(symbols, sps), taps)`` at full length, without
-    multiplying the stuffed zeros.
+    building the zero-stuffed signal.
 
-    Polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
-    output sample ``q*sps + p`` is the convolution of the symbols with tap
-    row ``taps[p::sps]`` at ``q``, written into the strided phase view of
-    one output array; ``convolve`` picks each row's method by its length.
+    Tap rows ``taps[p::sps]`` shorter than ``_FFT_MIN_TAPS`` run as a
+    polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
+    output sample ``q*sps + p`` is the convolution of the symbols with row
+    ``p`` at ``q``, written through ``convolve`` into the strided phase view
+    of one output array. Longer rows run one overlap-save pass at the full
+    rate: frames of ``M`` symbols (``_frame_len``) overlap by
+    ``ceil((len(taps) - 1) / sps)`` symbols and take one forward FFT, and
+    since the spectrum of a zero-stuffed frame is the symbol spectrum
+    repeated ``sps`` times, each frame spectrum is tiled ``sps`` times
+    against the whole filter's spectrum at length ``sps*M``, and one
+    inverse FFT gives contiguous outputs. The last ``sps - 1`` outputs, past the last symbol's reach,
+    are set to exactly zero as in the stuffed convolution, so no FFT
+    residue there can reach a converter level.
     The output is complex, as ``upsample`` makes it; a real input's
     imaginary rail is zero.
     """
@@ -142,13 +153,29 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     n = len(symbols)
     if n == 0:
         return np.zeros(0, dtype=complex)
-    out = np.zeros(n * sps + len(taps) - 1, dtype=complex)
-    for p in range(min(sps, len(taps))):
-        row = FirFilter(taps[p::sps])
-        # a phase view is one sample longer than its row's output when
-        # sps divides len(taps) - p; that sample stays zero
-        kept = n + len(row) - 1
-        out[p::sps][:kept] = convolve(symbols, row)
+    full_len = n * sps + len(taps) - 1
+    if -(-len(taps) // sps) < _FFT_MIN_TAPS:
+        out = np.zeros(full_len, dtype=complex)
+        for p in range(min(sps, len(taps))):
+            row = FirFilter(taps[p::sps])
+            # a phase view is one sample longer than its row's output when
+            # sps divides len(taps) - p; that sample stays zero
+            kept = n + len(row) - 1
+            out[p::sps][:kept] = convolve(symbols, row)
+        return out
+    overlap = -(-(len(taps) - 1) // sps)  # symbols shared with the previous frame
+    m = _frame_len(overlap + 1)
+    step = m - overlap  # symbols, and step * sps outputs, per frame
+    num_frames = -(-full_len // (step * sps))
+    spectra = _frame_spectra(symbols, overlap, num_frames, step, m)
+    tap_spectrum = _fft.fft(taps, sps * m).reshape(sps, m)
+    tiled = (spectra[:, None, :] * tap_spectrum).reshape(num_frames, sps * m)
+    del spectra
+    out = _fft.ifft(tiled, axis=-1, overwrite_x=True)[:, overlap * sps:]
+    out = out.reshape(-1)[:full_len]
+    out[(n - 1) * sps + len(taps):] = 0
+    if not np.iscomplexobj(symbols):
+        out.imag = 0
     return out
 
 
@@ -173,9 +200,7 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(sig) + len(taps) - 1`` gives the full
     convolution. Frame f holds phase samples ``f*step`` on, and every frame
-    is cut the same way: the phase row's samples inside the signal are
-    written once into the first ``step`` columns of a zeroed buffer, one
-    frame per row, and each frame's overlap is copied from the next row.
+    is cut the same way (``_frame_spectra``), as are ``interpolate``'s.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -188,9 +213,7 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     if kept == 0:
         return np.zeros(0, dtype=complex)
     rows = -(-len(taps) // sps)  # length of the longest tap row
-    # frames of at least 512 points keep the per-call cost of the batched
-    # transforms small next to their arithmetic
-    nfft = _fft.next_fast_len(max(8 * rows, 512))
+    nfft = _frame_len(rows)
     step = nfft - rows + 1  # kept outputs per frame; the last frame's surplus is dropped
     num_frames = -(-kept // step)
     padded = np.zeros(rows * sps)
@@ -200,35 +223,53 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
         first = start - (rows - 1) * sps - r  # signal index of phase sample 0
         i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
         i1 = min(-(-(n - first) // sps), (num_frames + 1) * step)
-        # the extra row holds the last frame's overlap
-        frames = np.zeros((num_frames + 1, nfft), dtype=complex)
-        if i1 > i0:
-            _fill_rows(frames[:, :step], sig[first + i0 * sps::sps][:i1 - i0], i0)
-        frames[:-1, step:] = frames[1:, :rows - 1]
-        spectra = _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
+        spectra = _frame_spectra(sig[first + i0 * sps::sps][:max(i1 - i0, 0)], i0,
+                                 num_frames, step, nfft)
         spectra *= tap_spectra[r]
         if r == 0:
             total = spectra
         else:
             total += spectra
-        del frames, spectra
+        del spectra
     kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:]
     del total
     return kept_rows.reshape(-1)[:kept]
 
 
-def _fill_rows(block: np.ndarray, src: np.ndarray, i0: int) -> None:
-    """Write ``src`` into the 2-D ``block`` at its row-major positions
-    ``i0, i0 + 1, ...``: the head of row 0, whole rows, then the tail.
-    ``i0`` must lie in row 0."""
-    width = block.shape[1]
-    head = min(len(src), width - i0)
-    block[0, i0:i0 + head] = src[:head]
-    body = (len(src) - head) // width
-    block[1:1 + body] = src[head:head + body * width].reshape(body, width)
-    tail = src[head + body * width:]
+def _frame_len(rows: int) -> int:
+    """Overlap-save frame length for filter rows of ``rows`` taps: the power
+    of two nearest ``8 * rows``, at least 512.
+
+    Eight times the row length keeps the overlap to about an eighth of each
+    frame; powers of two run faster than the nearby 7-smooth lengths
+    (2048 against 2016 or 2058); and 512 points keep the per-call cost of
+    the batched transforms small next to their arithmetic.
+    """
+    return 1 << max(9, round(math.log2(8 * rows)))
+
+
+def _frame_spectra(src: np.ndarray, i0: int, num_frames: int, step: int,
+                   nfft: int) -> np.ndarray:
+    """FFTs of ``num_frames`` overlap-save frames of ``nfft`` points, frame f
+    holding positions ``f*step`` on of a sequence that is ``src`` at
+    positions ``i0, i0 + 1, ...`` and zero elsewhere.
+
+    ``src`` is written once, row-major, into the first ``step`` columns of
+    one zeroed buffer (the head of row 0, whole rows, then the tail), and
+    each frame's overlap is copied from the next row; the extra row holds
+    the last frame's overlap. ``i0`` must lie in row 0, and ``src`` must end
+    before position ``(num_frames + 1) * step``.
+    """
+    frames = np.zeros((num_frames + 1, nfft), dtype=complex)
+    head = min(len(src), step - i0)
+    frames[0, i0:i0 + head] = src[:head]
+    body = (len(src) - head) // step
+    frames[1:1 + body, :step] = src[head:head + body * step].reshape(body, step)
+    tail = src[head + body * step:]
     if len(tail):
-        block[1 + body, :len(tail)] = tail
+        frames[1 + body, :len(tail)] = tail
+    frames[:-1, step:] = frames[1:, :nfft - step]
+    return _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

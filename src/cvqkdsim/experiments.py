@@ -186,10 +186,10 @@ def _scan(spec: SweepSpec, env: LinkConfig, grid: list[float]) -> tuple[dict, li
 def _check_transients(spec: SweepSpec) -> None:
     """Raise ``ValueError`` when a block the sweep runs keeps no symbol.
 
-    The grid points and the taps-bits reference are checked against
-    ``transient_margin`` at the evaluation block, and the grid points also
-    at ``env.num_symbols`` when the sweep optimizes, since the optimizer's
-    chains run there.
+    The grid points, the taps-bits reference and a photon scan's link are
+    checked against ``transient_margin`` at the evaluation block, and the
+    grid points also at ``env.num_symbols`` when the sweep optimizes, since
+    the optimizer's chains run there.
     """
     points = [("grid point " + ", ".join(f"{k}={v}" for k, v in axis.items()), env)
               for axis, env in _grid_points(spec)]
@@ -200,6 +200,8 @@ def _check_transients(spec: SweepSpec) -> None:
         taps = spec.reference.ref_taps
         checks.append((f"taps-bits reference taps={taps}",
                        _eval_env(spec, replace(spec.env, tx_len=taps, rx_len=taps))))
+    if spec.kind == "photon-scan":
+        checks.append(("photon scan", _eval_env(spec, spec.env)))
     for name, block in checks:
         try:
             transient_margin(block, block.tx_len, block.rx_len)

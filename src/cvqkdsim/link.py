@@ -187,12 +187,14 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     sqrt(tau_ch) loss -> ADC -> rx FIR. The effective response and the
     transient margin (``transient_margin``) come first, so a block too
     short for the filters fails before any signal work. The tx FIR is
-    ``dsp.interpolate``, which filters the symbols with the tap rows
-    instead of the zero-stuffed samples; the
-    LPF is filtered full-length by ``dsp.convolve`` (overlap-save at its 257
-    taps), and the rx FIR by ``dsp.decimate``, evaluated only at the
-    ``num_symbols`` symbol-spaced outputs from the response peak on. Each
-    stage's input is released once the next stage has it.
+    ``dsp.interpolate``, which never builds the zero-stuffed samples: short
+    tap rows (the 11-tap filter) filter the symbols row by row, and long
+    ones (the 1001-tap reference) run one full-rate overlap-save over the
+    symbol spectrum tiled ``sps`` times. The LPF is filtered full-length by
+    ``dsp.convolve`` (overlap-save at its 257 taps), and the rx FIR by
+    ``dsp.decimate``, evaluated only at the ``num_symbols`` symbol-spaced
+    outputs from the response peak on. Each stage's input is released once
+    the next stage has it.
     Converter full scales are frozen from their unquantized inputs, and both
     converter reports are built the same way: ``measure_noise`` of the
     converter's output against its reference and the clip fraction of its

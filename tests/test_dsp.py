@@ -220,11 +220,12 @@ class TestDecimate:
         assert len(got) == full_len
         self._check(sig, taps, 1, 0, full_len + past_end)
 
-    # (taps, sps, step): the rx filter's shape, the LPF's, and a filter no
-    # longer than sps, whose tap rows are one tap each; step is the kept
-    # outputs per overlap-save frame, nfft - rows + 1
-    @pytest.mark.parametrize("num_taps,sps,step", [(101, 4, 487), (257, 1, 1802),
-                                                   (3, 4, 512)])
+    # (taps, sps, step): the rx filter's shape, the LPF's, the 1001-tap
+    # reference rx filter's, and a filter no longer than sps, whose tap rows
+    # are one tap each; step is the kept outputs per overlap-save frame,
+    # nfft - rows + 1, with nfft the power of two nearest 8 * rows (>= 512)
+    @pytest.mark.parametrize("num_taps,sps,step", [(101, 4, 487), (257, 1, 1792),
+                                                   (1001, 4, 1798), (3, 4, 512)])
     @pytest.mark.parametrize("extra", [-1, 0, 1, "step"])
     def test_frame_boundaries(self, num_taps, sps, step, extra):
         # counts one short of, at and one past a frame, and two whole frames;
@@ -318,10 +319,15 @@ class TestInterpolate:
            seed=st.integers(0, 2**32 - 1))
     @example(n=257, num_taps=101, sps=4, complex_symbols=True, seed=5)
     @example(n=300, num_taps=1001, sps=4, complex_symbols=True, seed=6)
+    @example(n=3000, num_taps=1001, sps=4, complex_symbols=True, seed=7)
+    @example(n=3000, num_taps=1004, sps=4, complex_symbols=False, seed=8)
     def test_property_matches_oracle(self, n, num_taps, sps, complex_symbols, seed):
         # num_taps < sps leaves whole phases of the output at zero; the
         # examples have the 25/26-tap rows of a 101-tap filter and the
-        # 250/251-tap rows of the 1001-tap reference filter
+        # 250/251-tap rows of the 1001-tap reference filter, over one and
+        # over several full-rate overlap-save frames, and a 1004-tap filter,
+        # whose len(taps) - 1 is no multiple of sps. The outputs past the
+        # last symbol's reach are exactly zero, as in the stuffed convolution
         rng = np.random.default_rng(seed)
         symbols = rng.normal(size=n)
         if complex_symbols:
@@ -332,6 +338,9 @@ class TestInterpolate:
         assert got.shape == want.shape
         assert got.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert not np.any(got[(n - 1) * sps + num_taps:])
+        if not complex_symbols:
+            assert not np.any(got.imag)
 
     def test_empty_input_and_bad_sps(self):
         assert interpolate(np.zeros(0, dtype=complex), np.ones(3), 4).shape == (0,)

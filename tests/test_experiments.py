@@ -627,6 +627,28 @@ class TestCli:
         assert empty in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind,name", [("bits-sweep", "grid point bits="),
+                                           ("photon-scan", "photon scan")],
+                             ids=["bits-sweep", "photon-scan"])
+    def test_short_block_for_transient_is_config_error(self, tmp_path, capsys,
+                                                       monkeypatch, kind, name):
+        # 11/21 taps and the 257-tap LPF need 72 symbols per edge; the block
+        # is checked when the spec loads, before any chain
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": kind,
+                                    "env": {"tx_len": 11, "rx_len": 21},
+                                    "eval_num_symbols": 100}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}")
+        assert "num_symbols=100 too small for the filter transient" in err
+        assert not (tmp_path / "out").exists()
+
     def test_budget_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
