@@ -107,10 +107,8 @@ def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     taps each real rail runs through ``np.convolve``; from there on the
     (complex) signal runs once through ``decimate`` at one sample per output,
     which is overlap-save, so both rails share one FFT. A real input gives a
-    real output. The chain calls it for the LPF and, through
-    ``interpolate``, for each tap row shorter than ``_FFT_MIN_TAPS`` (the
-    11-tap tx filter); longer tx filters run ``interpolate``'s own
-    full-rate overlap-save, and the rx filter runs through ``decimate``.
+    real output. The chain calls it for the LPF; the tx filter runs through
+    ``interpolate`` and the rx filter through ``decimate``.
     """
     sig = np.asarray(sig)
     if len(sig) == 0:
@@ -133,8 +131,10 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     Tap rows ``taps[p::sps]`` shorter than ``_FFT_MIN_TAPS`` run as a
     polyphase interpolator (Crochiere & Rabiner), the dual of ``decimate``:
     output sample ``q*sps + p`` is the convolution of the symbols with row
-    ``p`` at ``q``, written through ``convolve`` into the strided phase view
-    of one output array. Longer rows run one overlap-save pass at the full
+    ``p`` at ``q``. Each real rail of the symbols runs through
+    ``np.convolve`` with each row, straight into its rail's strided phase
+    slots of the interleaved output, as ``convolve`` would filter it (the
+    same bits). Longer rows run one overlap-save pass at the full
     rate: frames of ``M`` symbols (``_frame_len``) overlap by
     ``ceil((len(taps) - 1) / sps)`` symbols and take one forward FFT, and
     since the spectrum of a zero-stuffed frame is the symbol spectrum
@@ -156,12 +156,16 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     full_len = n * sps + len(taps) - 1
     if -(-len(taps) // sps) < _FFT_MIN_TAPS:
         out = np.zeros(full_len, dtype=complex)
+        slots = out.view(float).reshape(full_len, 2)  # interleaved rails
+        parts = (symbols.real, symbols.imag) if np.iscomplexobj(symbols) else (symbols,)
+        parts = [np.ascontiguousarray(part, dtype=float) for part in parts]
         for p in range(min(sps, len(taps))):
-            row = FirFilter(taps[p::sps])
+            row = taps[p::sps]
             # a phase view is one sample longer than its row's output when
             # sps divides len(taps) - p; that sample stays zero
             kept = n + len(row) - 1
-            out[p::sps][:kept] = convolve(symbols, row)
+            for rail, part in enumerate(parts):
+                slots[p::sps, rail][:kept] = np.convolve(part, row)
         return out
     overlap = -(-(len(taps) - 1) // sps)  # symbols shared with the previous frame
     m = _frame_len(overlap + 1)

@@ -1,11 +1,14 @@
 import json
 import platform
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments, reinforce
@@ -13,6 +16,7 @@ from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep,
                                   save_records, load_records)
+from cvqkdsim.dsp import FirFilter
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec
 from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
@@ -412,6 +416,45 @@ class TestConfigLoading:
         spec = load_sweep_spec(path)
         assert spec.bits == [8]
         assert spec.env.num_symbols == 3000
+
+
+class _ChainReached(Exception):
+    """Raised by the patched ``run_chain``: the sweep got to its first chain."""
+
+
+def _chain_reached(*args, **kwargs):
+    raise _ChainReached
+
+
+class TestChecksAtLoad:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=_VALID["SweepSpec"])
+    @example(spec=SweepSpec(kind="bits-sweep", bits=[8], env=_tiny_env(), mode="both",
+                            photon_grid=[2.0]))
+    @example(spec=SweepSpec(kind="bits-sweep", bits=[8], env=_tiny_env(rx_len=21),
+                            mode="unoptimized", photon_grid=[2.0], eval_num_symbols=100))
+    def test_loaded_spec_fails_first_in_the_chain(self, spec):
+        # a spec that loads is free of every length, transient, photon-grid
+        # and beta error: its run fails first in run_chain (patched to raise),
+        # or on the evaluation budget, which is a run-time refusal by design.
+        # A spec may ask for 2^31 taps, so only short filters are designed.
+        def filters(env):
+            if max(env.tx_len, env.rx_len) <= 4096:
+                return baseline_filters(env)
+            return FirFilter(np.ones(1)), FirFilter(np.ones(1))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(asdict(spec)))
+            try:
+                loaded = load_sweep_spec(path)
+            except ConfigError:
+                return
+        with mock.patch.object(experiments, "run_chain", _chain_reached), \
+                mock.patch.object(reinforce, "run_chain", _chain_reached), \
+                mock.patch.object(experiments, "baseline_filters", filters):
+            with pytest.raises((_ChainReached, BudgetError)):
+                run_sweep(loaded)
 
 
 class TestCli:

@@ -230,8 +230,17 @@ class TestRunChain:
         monkeypatch.setattr(dsp, "decimate", counting)
         for name in ("measure_noise", "clip_fraction"):
             monkeypatch.setattr(link, name, lambda *a, name=name: calls.append(name))
+        convert = link.convert
+
+        def converting(sig, spec, reports=False, consume=False):
+            calls.append(("convert", reports))
+            return convert(sig, spec, reports, consume)
+
+        monkeypatch.setattr(link, "convert", converting)
         bare = run_chain(cfg, h_tx, h_rx, 3.0, reports=False)
-        assert calls == ["rx"]  # no twin, no report
+        converters = (cfg.dac is not None) + (cfg.adc is not None)
+        # no twin, no report, and no converter does report work
+        assert calls == [("convert", False)] * converters + ["rx"]
         assert (bare.dac_report, bare.adc_report) == (None, None)
         np.testing.assert_array_equal(bare.tx_symbols, full.tx_symbols)
         np.testing.assert_array_equal(bare.rx_symbols, full.rx_symbols)
@@ -370,3 +379,27 @@ class TestBudgetConsistency:
         residual = res.rx_symbols - np.sqrt(est.tau_hat) * res.tx_symbols
         se = np.std(np.abs(residual) ** 2) / np.sqrt(len(residual))
         assert abs(est.n_ex_hat - predicted) < 3.0 * se
+
+    @pytest.mark.parametrize("bits,holds", [(3, False), (8, True)])
+    def test_budget_stops_adding_up_below_six_bits(self, bits, holds):
+        # the four-term budget treats the converter errors as independent
+        # of the signal and of each other; at 3 bits (Delta = sigma at
+        # kappa = 4) they are not, and the residual exceeds the budget by
+        # ~14 SE here (z as in acceptance criterion 4). The limit is stated
+        # in assemble_budget's and NoiseBudget's docstrings and in README.
+        cfg = LinkConfig(distance_km=50.0, channel_excess_photons=1e-3,
+                         dac=QuantizerSpec(bits=bits), adc=QuantizerSpec(bits=bits),
+                         tx_len=11, rx_len=101, num_symbols=20_000, seed=5)
+        res = run_chain(cfg, *baseline_filters(cfg), 6.0)
+        est = estimate_parameters(res.tx_symbols, res.rx_symbols)
+        budget = assemble_budget(cfg, res.isi, 6.0, res.dac_report, res.adc_report)
+        block_power = np.mean(np.abs(res.tx_symbols) ** 2)
+        predicted = (cfg.channel_transmittance * block_power * res.isi.isi_sum
+                     + budget.dac + budget.adc)
+        residual = res.rx_symbols - np.sqrt(est.tau_hat) * res.tx_symbols
+        z = (est.n_ex_hat - predicted) / (np.std(np.abs(residual) ** 2)
+                                          / np.sqrt(len(residual)))
+        if holds:
+            assert abs(z) <= 3.0
+        else:
+            assert z > 5.0

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from oracles import (reference_clip_fraction, reference_full_scale,
                      reference_noise_power, reference_quantize)
 
-from cvqkdsim.quantization import (QuantizationReport, QuantizerSpec,
-                                   clip_fraction, full_scale, measure_noise,
-                                   quantize)
+from cvqkdsim.quantization import (_BLOCK, QuantizationReport, QuantizerSpec,
+                                   clip_fraction, convert, full_scale,
+                                   measure_noise, quantize)
 
 
 def _gaussian_rail(n, sigma=1.0, seed=0, complex_signal=False):
@@ -253,3 +256,78 @@ class TestMatchesRailOracle:
         assert a == reference_full_scale(sig, spec.clipping_factor)
         assert np.array_equal(quantize(sig, spec, a), reference_quantize(sig, 6, a))
         assert clip_fraction(sig, a) == reference_clip_fraction(sig, a)
+
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK, _BLOCK + 1, 40_003])
+    def test_converter_matches(self, n, complex_signal):
+        # _BLOCK samples end on a block edge of rails, real or complex, and
+        # one more sample starts a block; the noise sums block by block, so
+        # it matches the pairwise mean to rounding only
+        sig = _gaussian_rail(n, sigma=1.3, seed=n, complex_signal=complex_signal)
+        for bits, kappa in ((10, 4.0), (4, 1.5), (1, 0.5)):
+            spec = QuantizerSpec(bits=bits, clipping_factor=kappa)
+            a = reference_full_scale(sig, kappa)
+            want = reference_quantize(sig, bits, a)
+            spent = sig.copy()
+            out, frac, noise = convert(spent, spec, reports=True, consume=True)
+            assert out.dtype == sig.dtype
+            assert out.tobytes() == want.tobytes()
+            assert frac == reference_clip_fraction(sig, a)
+            assert noise == pytest.approx(reference_noise_power(want, sig), rel=1e-12)
+            # the spent input holds the squared error, rail by rail
+            np.testing.assert_array_equal(spent.view(float),
+                                          np.square((want - sig).view(float)))
+            kept = sig.copy()
+            out, frac_kept, noise = convert(kept, spec, reports=True)
+            assert (out.tobytes(), frac_kept, noise) == (want.tobytes(), frac, None)
+            assert kept.tobytes() == sig.tobytes()
+            out, *measures = convert(kept, spec, consume=True)
+            assert (out.tobytes(), measures) == (want.tobytes(), [None, None])
+            assert kept.tobytes() == sig.tobytes()  # no reports, no error formed
+
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    def test_converter_on_decision_boundaries(self, complex_signal):
+        # the boundary signal above, with a clipping factor picked so that
+        # the loaded full scale is exactly its A = 0.8
+        a = 0.8
+        edges = np.arange(-10, 11) * QuantizerSpec(bits=4).step(a)
+        sig = np.concatenate([edges, np.nextafter(edges, np.inf),
+                              np.nextafter(edges, -np.inf)])
+        if complex_signal:
+            sig = sig + 1j * sig[::-1]
+        rms = full_scale(sig, QuantizerSpec(bits=4, clipping_factor=1.0))
+        near = (a / rms, np.nextafter(a / rms, np.inf), np.nextafter(a / rms, -np.inf))
+        kappa = next(k for k in near if k * rms == a)
+        spec = QuantizerSpec(bits=4, clipping_factor=float(kappa))
+        out, frac, noise = convert(sig.copy(), spec, reports=True, consume=True)
+        want = reference_quantize(sig, 4, a)
+        assert out.tobytes() == want.tobytes()
+        # the outermost edges sit exactly at |x| = A
+        assert frac == reference_clip_fraction(sig, a) > 0
+        assert noise == pytest.approx(reference_noise_power(want, sig), rel=1e-12)
+
+    @pytest.mark.parametrize("consume", [False, True])
+    def test_converter_allocates_the_output_and_one_block(self, consume):
+        n = 400_000
+        sig = _gaussian_rail(n, seed=12, complex_signal=True)
+        spec = QuantizerSpec(bits=10)
+        convert(sig[:10], spec, reports=True)
+        tracemalloc.start()
+        try:
+            out = convert(sig, spec, reports=True, consume=consume)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + _BLOCK * 8
+
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    def test_converter_overflow_is_an_error_without_warning(self, complex_signal):
+        sig = _gaussian_rail(4000, sigma=1e153, seed=3, complex_signal=complex_signal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                convert(sig, QuantizerSpec(bits=10), reports=True, consume=True)
+
+    def test_converter_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            convert(np.zeros(0), QuantizerSpec(bits=8))
