@@ -12,7 +12,7 @@ import types
 import typing
 from pathlib import Path
 
-from .experiments import ReferencePoint, SweepSpec, _check_transients
+from .experiments import ReferencePoint, SweepSpec, _check_spec
 from .link import LinkConfig, LpfConfig
 from .quantization import QuantizerSpec
 from .reinforce import GroupSigmas, OptimizerConfig
@@ -104,11 +104,12 @@ def load_link_config(path: str | Path) -> LinkConfig:
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    """Load a sweep spec; a block too short for a grid point's filter
-    transient is a config error here, before any chain runs."""
+    """Load a sweep spec, checked before any chain runs: a grid over
+    ``max_points`` raises ``BudgetError``, and a block too short for a
+    filter transient is a config error."""
     spec = dataclass_from_dict(SweepSpec, load_json(path))
     try:
-        _check_transients(spec)
+        _check_spec(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return spec

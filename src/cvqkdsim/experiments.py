@@ -183,23 +183,35 @@ def _scan(spec: SweepSpec, env: LinkConfig, grid: list[float]) -> tuple[dict, li
     return photon_scan(env, grid, *baseline_filters(env), beta=spec.optimizer.beta)
 
 
-def _check_transients(spec: SweepSpec) -> None:
-    """Raise ``ValueError`` when a block the sweep runs keeps no symbol.
+def _reference_env(spec: SweepSpec) -> LinkConfig:
+    """The taps-bits reference link: ``env`` at the reference taps and bits."""
+    quant = QuantizerSpec(bits=spec.reference.ref_bits)
+    taps = spec.reference.ref_taps
+    return replace(spec.env, dac=quant, adc=quant, tx_len=taps, rx_len=taps)
+
+
+def _check_spec(spec: SweepSpec) -> None:
+    """Raise ``BudgetError`` when the grid exceeds ``max_points``, and
+    ``ValueError`` when a block the sweep runs keeps no symbol.
 
     The grid points, the taps-bits reference and a photon scan's link are
     checked against ``transient_margin`` at the evaluation block, and the
     grid points also at ``env.num_symbols`` when the sweep optimizes, since
     the optimizer's chains run there.
     """
+    size = spec.grid_size()
+    if size > spec.max_points:
+        raise BudgetError(
+            f"sweep would evaluate {size} grid points, over the budget of "
+            f"{spec.max_points}; shrink the axes or raise max_points")
     points = [("grid point " + ", ".join(f"{k}={v}" for k, v in axis.items()), env)
               for axis, env in _grid_points(spec)]
     checks = [(name, _eval_env(spec, env)) for name, env in points]
     if spec.mode != "unoptimized":
         checks += [(f"{name} (optimizer block)", env) for name, env in points]
     if spec.kind == "taps-bits-grid":
-        taps = spec.reference.ref_taps
-        checks.append((f"taps-bits reference taps={taps}",
-                       _eval_env(spec, replace(spec.env, tx_len=taps, rx_len=taps))))
+        checks.append((f"taps-bits reference taps={spec.reference.ref_taps}",
+                       _eval_env(spec, _reference_env(spec))))
     if spec.kind == "photon-scan":
         checks.append(("photon scan", _eval_env(spec, spec.env)))
     for name, block in checks:
@@ -218,15 +230,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     photon number is a one-point grid. Anchors are kept by link config, so
     a taps-bits reference that is also a grid point is evaluated once; a
     reference without key raises ``ValueError``, since the gap is undefined.
-    A grid block too short for a point's filter transient raises
-    ``ValueError`` before the first chain runs.
+    The budget and every block's filter transient are checked
+    (``_check_spec``) before the first chain runs.
     """
-    size = spec.grid_size()
-    if size > spec.max_points:
-        raise BudgetError(
-            f"sweep would evaluate {size} grid points, over the budget of "
-            f"{spec.max_points}; shrink the axes or raise max_points")
-
+    _check_spec(spec)
     if spec.kind == "photon-scan":
         start = time.perf_counter()
         best, curve = _scan(spec, spec.env, spec.photon_grid)
@@ -239,7 +246,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
                      **_rate_fields(spec, row["skr_bits_per_symbol"])},
             seed=spec.env.seed, wall_time_s=elapsed / len(curve)) for row in curve]
 
-    _check_transients(spec)
     grid = spec.photon_grid
 
     @cache
@@ -248,10 +254,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
 
     ref = None
     if spec.kind == "taps-bits-grid":
-        quant = QuantizerSpec(bits=spec.reference.ref_bits)
-        ref = anchor_of(replace(spec.env, dac=quant, adc=quant,
-                                tx_len=spec.reference.ref_taps,
-                                rx_len=spec.reference.ref_taps))
+        ref = anchor_of(_reference_env(spec))
         if not ref["skr_bits_per_symbol"] > 0:
             raise ValueError(
                 f"reference point ({spec.reference.ref_taps} taps, "

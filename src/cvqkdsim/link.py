@@ -15,10 +15,10 @@ import numpy as np
 from . import dsp
 from .dsp import FirFilter
 from .keyrate import DEFAULT_BETA, SkrInputs
-from .quantization import QuantizationReport, QuantizerSpec, convert, measure_noise
+from .quantization import QuantizationReport, QuantizerSpec, _mean_square, convert
 # looked up here by perfbench/tracing.py only; the chain calls ``convert``
-# (ROADMAP item 3)
-from .quantization import clip_fraction, full_scale, quantize  # noqa: F401
+# and takes its noise figures with ``_mean_square`` (ROADMAP item 3)
+from .quantization import clip_fraction, full_scale, measure_noise, quantize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -203,21 +203,19 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     outputs from the response peak on. Each stage's input is released once
     the next stage has it.
     Each converter is one ``quantization.convert`` call: its full scale is
-    frozen from its unquantized input, and it quantizes and counts its
-    input's clips in one blocked pass. The DAC report is taken at the DAC
-    plane: the DAC's mean-square error is summed in the same pass, in the
-    buffer of the tx output, which dies there. The ADC report compares the
-    chain output against an ADC-bypassed twin, filtered by the rx FIR only
-    when there is an ADC, so that it is referred to the symbol plane.
+    frozen from its unquantized input, and it quantizes in one blocked
+    pass. With reports it also counts the clips and leaves its error in its
+    input, which the chain gives up; the report's noise is the error's mean
+    square, the DAC's at the DAC plane and the ADC's after the rx FIR (by
+    linearity, the output minus an ADC-bypassed twin, never built).
     A bypassed converter reports zero. Edge symbols inside the filter
     transient are trimmed. Non-finite received symbols raise ``ValueError``.
 
     With ``reports=False`` both reports are None, and the chain skips the
-    work only they need: the converters' clip counts and the DAC's error,
-    the rx filtering of the ADC-bypassed twin, and the ADC's
-    ``measure_noise``. The converters still load their full scales and
-    quantize, and ``decimate`` filters each signal on its own, so the
-    symbols and the ISI profile are the same bits as with reports.
+    work only they need: the clip counts, the errors and their mean squares,
+    and the ADC error's rx filtering. The converters still load their full
+    scales and quantize, and ``decimate`` filters each signal on its own, so
+    the symbols and the ISI profile are the same bits as with reports.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
@@ -235,11 +233,10 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     shaped = dsp.interpolate(symbols, h_tx.taps, sps)
 
     if config.dac is not None:
-        # shaped dies here, so the DAC forms its error in shaped's buffer
-        after_dac, dac_clips, dac_noise = convert(shaped, config.dac, reports,
-                                                  consume=True)
+        # shaped dies here; with reports it holds the DAC's error
+        after_dac, dac_clips = convert(shaped, config.dac, reports)
         if reports:
-            dac_report = QuantizationReport(dac_noise, dac_clips)
+            dac_report = QuantizationReport(_mean_square(shaped), dac_clips)
     else:
         after_dac = shaped
     del shaped
@@ -249,7 +246,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     attenuated *= np.sqrt(config.channel_transmittance)
 
     if config.adc is not None:
-        after_adc, adc_clips, _ = convert(attenuated, config.adc, reports)
+        after_adc, adc_clips = convert(attenuated, config.adc, reports)
     else:
         after_adc = attenuated
     rx = dsp.decimate(after_adc, h_rx.taps, sps, isi.delay_index, config.num_symbols)
@@ -257,9 +254,9 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
     if reports and config.adc is not None:
-        twin = dsp.decimate(attenuated, h_rx.taps, sps, isi.delay_index,
-                            config.num_symbols)
-        adc_report = QuantizationReport(measure_noise(rx[sl], twin[sl]), adc_clips)
+        # attenuated holds the ADC's error, referred to the symbol plane here
+        error = dsp.decimate(attenuated, h_rx.taps, sps, isi.delay_index, config.num_symbols)
+        adc_report = QuantizationReport(_mean_square(error[sl]), adc_clips)
     return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
                        dac_report=dac_report, adc_report=adc_report, isi=isi)
 
@@ -270,10 +267,9 @@ def estimate_parameters(tx_symbols: np.ndarray,
 
     sqrt(tau) is the real least-squares gain Re<y, x> / <x, x>; the excess
     noise estimate is the residual power E|y - sqrt(tau) x|^2 in photon
-    numbers at the receiver plane, summed in one pass over the residual's
-    float rails (``einsum``, which stays off threaded BLAS). Against
-    ``mean(abs(residual) ** 2)`` it moves ``n_ex_hat`` only in rounding
-    (at most 1e-14 relative).
+    numbers at the receiver plane, by ``_mean_square`` as for the converter
+    noise. Against ``mean(abs(residual) ** 2)`` it moves ``n_ex_hat`` only
+    in rounding (at most 1e-14 relative).
     """
     tx = np.asarray(tx_symbols)
     rx = np.asarray(rx_symbols)
@@ -282,9 +278,7 @@ def estimate_parameters(tx_symbols: np.ndarray,
     if len(tx) < 1000:
         raise ValueError(f"need at least 1000 symbol pairs, got {len(tx)}")
     gain = float(np.real(np.vdot(tx, rx)) / np.real(np.vdot(tx, tx)))
-    residual = np.ascontiguousarray(rx - gain * tx, dtype=complex).view(float)
-    n_ex_hat = float(np.einsum("i,i->", residual, residual)) / len(tx)
-    return ParameterEstimate(tau_hat=gain * gain, n_ex_hat=n_ex_hat)
+    return ParameterEstimate(tau_hat=gain * gain, n_ex_hat=_mean_square(rx - gain * tx))
 
 
 def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,

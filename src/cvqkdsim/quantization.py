@@ -3,10 +3,10 @@
 Signals are plain numpy arrays, real or complex. The full-scale amplitude
 is loaded from the signal itself, A = kappa * sigma with sigma the pooled
 RMS of the real rails. The chain runs each converter as one ``convert``
-call, which loads the full scale, quantizes and (for the reports) counts
-clips and measures the error in one blocked pass; ``full_scale``,
-``quantize``, ``clip_fraction`` and ``measure_noise`` are the same steps
-one at a time.
+call: one blocked pass that loads the full scale, quantizes and, for the
+reports, counts clips and leaves the signed error x - q in the spent
+input. ``full_scale``, ``quantize`` and ``clip_fraction`` are the same
+steps one at a time; ``measure_noise`` compares against a kept input.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class QuantizationReport:
 
 # rails (complex samples, when loading) per block of the converter passes:
 # a block's input and output (512 KB to 1 MB) stay in L2 while the block is
-# squared, or quantized, clip-counted and measured
+# squared, or quantized, clip-counted and turned into its error
 _BLOCK = 1 << 15
 
 
@@ -118,46 +118,43 @@ def quantize(sig: np.ndarray, spec: QuantizerSpec, full_scale: float) -> np.ndar
     return out
 
 
-def convert(sig: np.ndarray, spec: QuantizerSpec, reports: bool = False,
-            consume: bool = False) -> tuple[np.ndarray, float | None, float | None]:
-    """One converter: load its full scale from ``sig``, quantize, and with
-    ``reports`` measure it, in one pass over blocks of rails.
+def convert(sig: np.ndarray, spec: QuantizerSpec,
+            reports: bool = False) -> tuple[np.ndarray, float | None]:
+    """One converter in one pass over blocks of rails: load the full scale
+    from ``sig``, quantize, and with ``reports`` count clips and keep errors.
 
-    Returns ``(quantized, clip_fraction, noise_power)``. The full scale is
+    Returns ``(quantized, clip_fraction)``. The full scale is
     ``full_scale(sig, spec)``, bit for bit: the rail squares are written
     into the output buffer, in ``full_scale``'s order, before the levels
     overwrite them. The output is ``quantize(sig, spec, A)`` bit for bit.
-    Without ``reports`` both measures are None and no report work is done.
-    With it, the clips (``clip_fraction(sig, A)``, exactly) are counted
-    while each block of rails is in cache. With ``consume`` too, the
-    squared error ``(q - x)**2`` is formed in ``sig``'s own rails (the
-    caller gives ``sig`` up; a contiguous float or complex ``sig`` then
-    holds it) and ``noise_power`` is ``measure_noise(quantized, sig)`` up to
-    the grouping of the sum (within 1e-12 relative); otherwise it is None.
+    Without ``reports`` the clip fraction is None and ``sig`` is left as it
+    is. With it, the clips (``clip_fraction(sig, A)``, exactly) are counted
+    and each rail x of ``sig`` is overwritten with its signed error x - q
+    while its block is in cache; the caller gives ``sig`` up. So that the
+    error never lands in a copy, ``reports`` refuses a ``sig`` whose rails
+    are not a view of it (a float64 or a contiguous complex128 array).
     Besides the output, the pass allocates less than one block.
     """
     if len(sig) == 0:
         raise ValueError("cannot quantize an empty signal")
+    x = _rails(sig)
+    if reports and not np.may_share_memory(x, sig):
+        raise ValueError("reports leave the error in the signal's rails, which "
+                         "need a float64 or a contiguous complex128 signal")
     out = np.empty(len(sig), dtype=complex if np.iscomplexobj(sig) else float)
     rails = out.view(float)
-    scale = _load(sig, spec, rails)
-    clipped, squared_error = _quantize_blocks(_rails(sig), rails, spec, scale,
-                                              reports, reports and consume)
-    if not reports:
-        return out, None, None
-    return out, clipped / rails.size, squared_error / len(sig) if consume else None
+    clipped = _quantize_blocks(x, rails, spec, _load(sig, spec, rails), reports)
+    return out, clipped / rails.size if reports else None
 
 
 def _quantize_blocks(rails: np.ndarray, out: np.ndarray, spec: QuantizerSpec,
-                     full_scale: float, count_clips: bool = False,
-                     form_error: bool = False) -> tuple[int, float]:
-    """Quantize ``rails`` into ``out`` block by block; with ``count_clips``
-    count the rails at or beyond +/-A, and with ``form_error`` overwrite
-    each block of ``rails`` with its error and sum its squares. Returns the
-    clip count and the squared-error sum."""
+                     full_scale: float, reports: bool = False) -> int:
+    """Quantize ``rails`` into ``out`` block by block; with ``reports``
+    count the rails at or beyond +/-A and overwrite each block of ``rails``
+    with its error ``x - q``. Returns the clip count."""
     delta = spec.step(full_scale)
     half_levels = 1 << (spec.bits - 1)
-    clipped, squared_error = 0, 0.0
+    clipped = 0
     for i in range(0, len(rails), _BLOCK):
         x, q = rails[i:i + _BLOCK], out[i:i + _BLOCK]
         np.divide(x, delta, out=q)
@@ -165,14 +162,11 @@ def _quantize_blocks(rails: np.ndarray, out: np.ndarray, spec: QuantizerSpec,
         np.clip(q, -half_levels, half_levels - 1, out=q)
         q += 0.5
         q *= delta
-        if count_clips:
+        if reports:
             clipped += (np.count_nonzero(x >= full_scale)
                         + np.count_nonzero(x <= -full_scale))
-        if form_error:
-            np.subtract(q, x, out=x)
-            np.square(x, out=x)
-            squared_error += float(np.sum(x))
-    return clipped, squared_error
+            np.subtract(x, q, out=x)
+    return clipped
 
 
 def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:
@@ -187,20 +181,16 @@ def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:
 
 def measure_noise(quantized: np.ndarray, reference: np.ndarray) -> float:
     """Mean-square error of ``quantized`` against ``reference``, per complex
-    sample with both rails summed.
-
-    The error is taken rail by rail in one float buffer, squared in place and
-    averaged by numpy's pairwise mean, without the complex difference and
-    ``abs`` temporaries; it agrees with ``mean(abs(q - x) ** 2)`` to rounding.
-    """
+    sample with both rails summed: ``_mean_square`` of the difference."""
     if len(quantized) != len(reference):
         raise ValueError(
             f"length mismatch: {len(quantized)} vs {len(reference)}")
-    if np.iscomplexobj(quantized) or np.iscomplexobj(reference):
-        quantized, reference = (np.asarray(x, dtype=complex) for x in (quantized, reference))
-        rails_per_sample = 2
-    else:
-        rails_per_sample = 1
-    err = np.subtract(_rails(quantized), _rails(reference))
-    np.square(err, out=err)
-    return rails_per_sample * float(np.mean(err))
+    return _mean_square(np.subtract(quantized, reference))
+
+
+def _mean_square(sig: np.ndarray) -> float:
+    """E|x|^2 per sample with both rails summed, in one pass over the float
+    rails (``einsum``, which stays off threaded BLAS). The chain's DAC and
+    ADC noise and the estimate's residual power are all taken here."""
+    rails = _rails(sig)
+    return float(np.einsum("i,i->", rails, rails)) / len(sig)

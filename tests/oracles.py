@@ -169,6 +169,39 @@ def reference_clip_fraction(sig: np.ndarray, full_scale: float) -> float:
     return float(np.mean(np.abs(_reference_rails(sig)) >= full_scale))
 
 
+def reference_chain_reports(config, h_tx: np.ndarray, h_rx: np.ndarray,
+                            mean_photon: float) -> tuple[float, float, float, float]:
+    """``(dac_noise, dac_clips, adc_noise, adc_clips)`` of one chain, built
+    from the reference steps above; a bypassed converter gives zeros.
+
+    The DAC noise is E|q - x|^2 at the DAC output. The ADC noise compares
+    the rx-filtered chain output with a twin filtered without the ADC, on
+    the symbols the chain keeps (both edges' filter transients trimmed).
+    """
+    sps, lpf = config.sps, config.lpf_filter().taps
+    z = np.convolve(np.convolve(h_tx, h_rx), lpf)
+    delay, margin = int(np.argmax(np.abs(z))), -(-len(z) // sps)
+
+    def converter(x, spec):
+        if spec is None:
+            return x, 0.0
+        full_scale = reference_full_scale(x, spec.clipping_factor)
+        return (reference_quantize(x, spec.bits, full_scale),
+                reference_clip_fraction(x, full_scale))
+
+    def rx_filter(x):
+        kept = reference_decimate(x, h_rx, sps, delay, config.num_symbols)
+        return kept[margin:config.num_symbols - margin]
+
+    symbols = reference_symbols(config.num_symbols, mean_photon, config.seed)
+    shaped = reference_interpolate(symbols, h_tx, sps)
+    after_dac, dac_clips = converter(shaped, config.dac)
+    attenuated = reference_convolve(after_dac, lpf) * np.sqrt(config.channel_transmittance)
+    after_adc, adc_clips = converter(attenuated, config.adc)
+    return (reference_noise_power(after_dac, shaped), dac_clips,
+            reference_noise_power(rx_filter(after_adc), rx_filter(attenuated)), adc_clips)
+
+
 def mpmath_key_rate(mean_photon: float, tau: float, n_ex: float, beta: float,
                     digits: int = 80) -> float:
     """Unclipped rate beta * I_AB - chi_BE from the textbook forms, in

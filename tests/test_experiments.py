@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments, reinforce
@@ -59,6 +59,17 @@ _optimizer = st.builds(
     sigma_decay=st.floats(0.0, 1.0, exclude_min=True), sigma_floor=_non_negative,
     seed=st.integers(0, 2**64 - 1), beta=st.floats(0.0, 1.0, exclude_min=True))
 _reference = st.builds(ReferencePoint, ref_taps=_count, ref_bits=st.integers(1, 62))
+
+
+def _sweep_spec(**fields):
+    # a short evaluation block with a long LPF is refused by the spec itself
+    # (its LinkConfig check), so such a draw is no valid instance
+    try:
+        return SweepSpec(**fields)
+    except ValueError:
+        reject()
+
+
 # every sweep axis non-empty, so that each kind is valid
 _VALID = {
     "LinkConfig": _link, "LpfConfig": _lpf,
@@ -67,7 +78,7 @@ _VALID = {
     "GroupRates": st.builds(GroupRates, tx=_finite, rx=_finite, n=_finite),
     "ReferencePoint": _reference,
     "SweepSpec": st.builds(
-        SweepSpec, kind=st.sampled_from(experiments.SWEEP_KINDS),
+        _sweep_spec, kind=st.sampled_from(experiments.SWEEP_KINDS),
         bits=st.lists(st.integers(1, 62), min_size=1, max_size=4),
         taps=st.lists(_count, min_size=1, max_size=4),
         distances_km=st.lists(_non_negative, min_size=1, max_size=4),
@@ -126,8 +137,11 @@ class TestRunSweep:
          r"grid point bits=8 \(optimizer block\): num_symbols=140 .*transient"),
         ({"kind": "taps-bits-grid", "taps": [21], "eval_num_symbols": 1_000},
          r"taps-bits reference taps=1001: num_symbols=1000 .*transient "
-         r"\(565 symbols per edge\)")],
-        ids=["eval_block", "optimizer_block", "reference"])
+         r"\(565 symbols per edge\)"),
+        ({"kind": "photon-scan", "eval_num_symbols": 100},
+         r"photon scan: num_symbols=100 too small for the filter transient "
+         r"\(72 symbols per edge\)")],
+        ids=["eval_block", "optimizer_block", "reference", "photon_scan"])
     def test_short_block_fails_before_any_chain(self, monkeypatch, overrides, message):
         def no_chain(*args, **kwargs):
             raise AssertionError("a chain ran")
@@ -435,9 +449,9 @@ class TestChecksAtLoad:
                             mode="unoptimized", photon_grid=[2.0], eval_num_symbols=100))
     def test_loaded_spec_fails_first_in_the_chain(self, spec):
         # a spec that loads is free of every length, transient, photon-grid
-        # and beta error: its run fails first in run_chain (patched to raise),
-        # or on the evaluation budget, which is a run-time refusal by design.
-        # A spec may ask for 2^31 taps, so only short filters are designed.
+        # and beta error and within its evaluation budget: its run fails
+        # first in run_chain (patched to raise). A spec may ask for 2^31
+        # taps, so only short filters are designed.
         def filters(env):
             if max(env.tx_len, env.rx_len) <= 4096:
                 return baseline_filters(env)
@@ -448,12 +462,12 @@ class TestChecksAtLoad:
             path.write_text(json.dumps(asdict(spec)))
             try:
                 loaded = load_sweep_spec(path)
-            except ConfigError:
+            except (ConfigError, BudgetError):
                 return
         with mock.patch.object(experiments, "run_chain", _chain_reached), \
                 mock.patch.object(reinforce, "run_chain", _chain_reached), \
                 mock.patch.object(experiments, "baseline_filters", filters):
-            with pytest.raises((_ChainReached, BudgetError)):
+            with pytest.raises(_ChainReached):
                 run_sweep(loaded)
 
 
@@ -692,7 +706,11 @@ class TestCli:
         assert "num_symbols=100 too small for the filter transient" in err
         assert not (tmp_path / "out").exists()
 
-    def test_budget_exit_code(self, tmp_path, capsys):
+    def test_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the grid size depends on the spec alone, so it is refused at load
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "kind": "bits-sweep", "bits": [6, 8, 10], "max_points": 1,
@@ -701,6 +719,9 @@ class TestCli:
         }))
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "budget refused: sweep would evaluate 3 grid points, over the budget of 1")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_chain_reports
 
 from cvqkdsim import dsp, link
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
@@ -192,7 +193,7 @@ class TestRunChain:
         assert res.adc_report.noise_power == 0.0
 
     def test_without_adc_the_rx_filter_runs_once(self, monkeypatch):
-        # no ADC-bypassed twin is filtered when there is no ADC to measure
+        # no ADC error is filtered when there is no ADC to measure
         rx_calls = []
         decimate = dsp.decimate
 
@@ -215,7 +216,8 @@ class TestRunChain:
         ids=["10_bit", "no_dac", "no_adc", "1001_taps_16_bit"])
     def test_without_reports_symbols_match_bit_for_bit(self, monkeypatch, overrides):
         # the converters still load and quantize, and decimate filters each
-        # signal on its own, so dropping the reports and the twin changes no bit
+        # signal on its own, so dropping the reports and the filtered ADC
+        # error changes no bit
         cfg = LinkConfig(distance_km=30.0, num_symbols=5_000, seed=4, **overrides)
         h_tx, h_rx = baseline_filters(cfg)
         full = run_chain(cfg, h_tx, h_rx, 3.0)
@@ -228,18 +230,17 @@ class TestRunChain:
             return decimate(sig, taps, sps, start, count)
 
         monkeypatch.setattr(dsp, "decimate", counting)
-        for name in ("measure_noise", "clip_fraction"):
-            monkeypatch.setattr(link, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(link, "_mean_square", lambda *a: calls.append("mean_square"))
         convert = link.convert
 
-        def converting(sig, spec, reports=False, consume=False):
+        def converting(sig, spec, reports=False):
             calls.append(("convert", reports))
-            return convert(sig, spec, reports, consume)
+            return convert(sig, spec, reports)
 
         monkeypatch.setattr(link, "convert", converting)
         bare = run_chain(cfg, h_tx, h_rx, 3.0, reports=False)
         converters = (cfg.dac is not None) + (cfg.adc is not None)
-        # no twin, no report, and no converter does report work
+        # no error filtered, no mean square, and no converter does report work
         assert calls == [("convert", False)] * converters + ["rx"]
         assert (bare.dac_report, bare.adc_report) == (None, None)
         np.testing.assert_array_equal(bare.tx_symbols, full.tx_symbols)
@@ -248,6 +249,45 @@ class TestRunChain:
         assert (bare.isi.delay_index, bare.isi.coefficients, bare.isi.c0_sq,
                 bare.isi.isi_sum) == (full.isi.delay_index, full.isi.coefficients,
                                       full.isi.c0_sq, full.isi.isi_sum)
+
+
+class TestChainReports:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dac": QuantizerSpec(bits=4), "adc": QuantizerSpec(bits=4)},
+        {"adc": None}, {"dac": None},
+        {"dac": QuantizerSpec(bits=16), "adc": QuantizerSpec(bits=16),
+         "tx_len": 1001, "rx_len": 1001}],
+        ids=["10_bit", "4_bit", "dac_only", "adc_only", "1001_taps_16_bit"])
+    def test_match_their_definition(self, overrides):
+        # the chain takes each converter's noise as the mean square of its
+        # signed error (the ADC's filtered by the rx FIR); the oracle takes
+        # the DAC's against its input and the ADC's as rx minus an
+        # ADC-bypassed twin, so they agree to rounding (5e-13 at worst here).
+        # No sample sits within rounding of the full scale, so the clip
+        # counts match exactly.
+        cfg = LinkConfig(**{**dict(distance_km=30.0, tx_len=11, rx_len=101,
+                                   num_symbols=3_000, seed=8), **overrides})
+        h_tx, h_rx = baseline_filters(cfg)
+        res = run_chain(cfg, h_tx, h_rx, 3.0)
+        dac_noise, dac_clips, adc_noise, adc_clips = reference_chain_reports(
+            cfg, h_tx.taps, h_rx.taps, 3.0)
+        assert res.dac_report.clip_fraction == dac_clips
+        assert res.adc_report.clip_fraction == adc_clips
+        assert res.dac_report.noise_power == pytest.approx(dac_noise, rel=1e-9, abs=0)
+        assert res.adc_report.noise_power == pytest.approx(adc_noise, rel=1e-9, abs=0)
+        for spec, noise in ((cfg.dac, dac_noise), (cfg.adc, adc_noise)):
+            assert (noise > 0) == (spec is not None)
+
+    def test_one_mean_square_per_converter_and_no_twin(self, monkeypatch):
+        # the DAC's error at its output, the ADC's over the kept symbols
+        lengths = []
+        mean_square = link._mean_square
+        monkeypatch.setattr(link, "_mean_square",
+                            lambda sig: lengths.append(len(sig)) or mean_square(sig))
+        monkeypatch.setattr(link, "measure_noise", None)
+        cfg = LinkConfig(distance_km=10.0, num_symbols=5_000, tx_len=11, rx_len=41)
+        res = run_chain(cfg, *baseline_filters(cfg), 6.0)
+        assert lengths == [5_000 * cfg.sps + 10, len(res.rx_symbols)]
 
 
 class TestTransientMargin:

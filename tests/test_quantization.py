@@ -261,29 +261,23 @@ class TestMatchesRailOracle:
     @pytest.mark.parametrize("n", [1, 7, _BLOCK, _BLOCK + 1, 40_003])
     def test_converter_matches(self, n, complex_signal):
         # _BLOCK samples end on a block edge of rails, real or complex, and
-        # one more sample starts a block; the noise sums block by block, so
-        # it matches the pairwise mean to rounding only
+        # one more sample starts a block
         sig = _gaussian_rail(n, sigma=1.3, seed=n, complex_signal=complex_signal)
         for bits, kappa in ((10, 4.0), (4, 1.5), (1, 0.5)):
             spec = QuantizerSpec(bits=bits, clipping_factor=kappa)
             a = reference_full_scale(sig, kappa)
             want = reference_quantize(sig, bits, a)
-            spent = sig.copy()
-            out, frac, noise = convert(spent, spec, reports=True, consume=True)
+            kept = sig.copy()
+            out, frac = convert(kept, spec)
             assert out.dtype == sig.dtype
+            assert (out.tobytes(), frac) == (want.tobytes(), None)
+            assert kept.tobytes() == sig.tobytes()  # no reports, no error formed
+            spent = sig.copy()
+            out, frac = convert(spent, spec, reports=True)
             assert out.tobytes() == want.tobytes()
             assert frac == reference_clip_fraction(sig, a)
-            assert noise == pytest.approx(reference_noise_power(want, sig), rel=1e-12)
-            # the spent input holds the squared error, rail by rail
-            np.testing.assert_array_equal(spent.view(float),
-                                          np.square((want - sig).view(float)))
-            kept = sig.copy()
-            out, frac_kept, noise = convert(kept, spec, reports=True)
-            assert (out.tobytes(), frac_kept, noise) == (want.tobytes(), frac, None)
-            assert kept.tobytes() == sig.tobytes()
-            out, *measures = convert(kept, spec, consume=True)
-            assert (out.tobytes(), measures) == (want.tobytes(), [None, None])
-            assert kept.tobytes() == sig.tobytes()  # no reports, no error formed
+            # the spent input holds the signed error x - q, rail for rail
+            assert spent.tobytes() == (sig - want).tobytes()
 
     @pytest.mark.parametrize("complex_signal", [False, True])
     def test_converter_on_decision_boundaries(self, complex_signal):
@@ -299,22 +293,50 @@ class TestMatchesRailOracle:
         near = (a / rms, np.nextafter(a / rms, np.inf), np.nextafter(a / rms, -np.inf))
         kappa = next(k for k in near if k * rms == a)
         spec = QuantizerSpec(bits=4, clipping_factor=float(kappa))
-        out, frac, noise = convert(sig.copy(), spec, reports=True, consume=True)
+        spent = sig.copy()
+        out, frac = convert(spent, spec, reports=True)
         want = reference_quantize(sig, 4, a)
         assert out.tobytes() == want.tobytes()
         # the outermost edges sit exactly at |x| = A
         assert frac == reference_clip_fraction(sig, a) > 0
-        assert noise == pytest.approx(reference_noise_power(want, sig), rel=1e-12)
+        assert spent.tobytes() == (sig - want).tobytes()
 
-    @pytest.mark.parametrize("consume", [False, True])
-    def test_converter_allocates_the_output_and_one_block(self, consume):
+    def test_converter_strided_input(self):
+        # a strided float signal's rails are the signal itself, so the error
+        # is left in place; a strided complex signal's rails are a copy, so
+        # the error would be lost and reports refuse it
+        base = _gaussian_rail(6001, seed=13, complex_signal=True)
+        before = base.copy()
+        spec = QuantizerSpec(bits=6, clipping_factor=2.0)
+        sig = base.real[::3]
+        a = reference_full_scale(before.real[::3], 2.0)
+        want = reference_quantize(before.real[::3], 6, a)
+        out, frac = convert(sig, spec, reports=True)
+        assert out.tobytes() == want.tobytes()
+        assert frac == reference_clip_fraction(before.real[::3], a) > 0
+        assert sig.tobytes() == (before.real[::3] - want).tobytes()
+        untouched = np.ones(len(base), dtype=bool)
+        untouched[::3] = False
+        assert base[untouched].tobytes() == before[untouched].tobytes()
+        assert base.imag.tobytes() == before.imag.tobytes()
+        for refused in (base[::3], before.real.astype(np.float32)):
+            kept = refused.copy()
+            with pytest.raises(ValueError, match="contiguous complex128"):
+                convert(refused, spec, reports=True)
+            out, frac = convert(refused, spec)
+            a = reference_full_scale(kept, 2.0)
+            assert np.array_equal(out, reference_quantize(kept, 6, a)) and frac is None
+            assert refused.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("reports", [False, True])
+    def test_converter_allocates_the_output_and_one_block(self, reports):
         n = 400_000
         sig = _gaussian_rail(n, seed=12, complex_signal=True)
         spec = QuantizerSpec(bits=10)
-        convert(sig[:10], spec, reports=True)
+        convert(sig[:10].copy(), spec, reports=True)
         tracemalloc.start()
         try:
-            out = convert(sig, spec, reports=True, consume=consume)[0]
+            out = convert(sig, spec, reports=reports)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,7 +348,7 @@ class TestMatchesRailOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
-                convert(sig, QuantizerSpec(bits=10), reports=True, consume=True)
+                convert(sig, QuantizerSpec(bits=10), reports=True)
 
     def test_converter_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
