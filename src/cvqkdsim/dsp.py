@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,13 @@ def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     return out if np.iscomplexobj(sig) else out.real
 
 
+# numpy warns where a non-finite sample meets the transforms or the spectrum
+# products; such a signal comes out non-finite, and the chain's finite check
+# is the one place that reports it
+_QUIET = np.errstate(invalid="ignore", over="ignore")
+
+
+@_QUIET
 def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     """``convolve(upsample(symbols, sps), taps)`` at full length, without
     building the zero-stuffed signal.
@@ -172,10 +178,10 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     step = m - overlap  # symbols, and step * sps outputs, per frame
     num_frames = -(-full_len // (step * sps))
     spectra = _frame_spectra(symbols, overlap, num_frames, step, m)
-    tap_spectrum = _fft.fft(taps, sps * m).reshape(sps, m)
+    tap_spectrum = _real_spectrum(taps, sps * m).reshape(sps, m)
     tiled = (spectra[:, None, :] * tap_spectrum).reshape(num_frames, sps * m)
     del spectra
-    out = _fft.ifft(tiled, axis=-1, overwrite_x=True)[:, overlap * sps:]
+    out = np.fft.ifft(tiled, axis=-1, out=tiled)[:, overlap * sps:]
     out = out.reshape(-1)[:full_len]
     out[(n - 1) * sps + len(taps):] = 0
     if not np.iscomplexobj(symbols):
@@ -190,6 +196,7 @@ def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
     return sig[phase::sps]
 
 
+@_QUIET
 def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
              count: int) -> np.ndarray:
     """``convolve(sig, taps)[start::sps][:count]``, computing only the kept
@@ -222,7 +229,7 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     num_frames = -(-kept // step)
     padded = np.zeros(rows * sps)
     padded[:len(taps)] = taps
-    tap_spectra = _fft.fft(padded.reshape(rows, sps).T, nfft, axis=-1)
+    tap_spectra = _real_spectrum(padded.reshape(rows, sps).T, nfft)
     for r in range(sps):
         first = start - (rows - 1) * sps - r  # signal index of phase sample 0
         i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
@@ -235,7 +242,7 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
         else:
             total += spectra
         del spectra
-    kept_rows = _fft.ifft(total, axis=-1, overwrite_x=True)[:, rows - 1:]
+    kept_rows = np.fft.ifft(total, axis=-1, out=total)[:, rows - 1:]
     del total
     return kept_rows.reshape(-1)[:kept]
 
@@ -273,7 +280,24 @@ def _frame_spectra(src: np.ndarray, i0: int, num_frames: int, step: int,
     if len(tail):
         frames[1 + body, :len(tail)] = tail
     frames[:-1, step:] = frames[1:, :nfft - step]
-    return _fft.fft(frames[:-1], axis=-1, overwrite_x=True)
+    return np.fft.fft(frames[:-1], axis=-1, out=frames[:-1])
+
+
+def _real_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
+    """Complex ``n``-point DFT of real ``taps`` along the last axis.
+
+    One real-input transform gives bins ``0 .. n//2``; the rest follow by
+    conjugate symmetry. Every half bin ``j`` is mirrored into ``(n - j) % n``,
+    so the self-mirrored DC (and, for even ``n``, Nyquist) bins are
+    conjugated too: the bits of a real-to-complex pocketfft transform with
+    its second half filled in, which a complex transform of the same real
+    input does not reproduce.
+    """
+    half = np.fft.rfft(taps, n, axis=-1)
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., :half.shape[-1]] = half
+    out[..., -np.arange(half.shape[-1]) % n] = half.conj()
+    return out
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

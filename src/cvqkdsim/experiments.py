@@ -10,7 +10,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .keyrate import DEFAULT_BETA, secure_key_rate
 from .link import (LinkConfig, baseline_filters, estimate_parameters, run_chain,
@@ -346,7 +345,7 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     """Write one fixed-schema CSV per sweep kind plus a run manifest.
 
     The manifest lists the kinds, seeds and configs of the records and the
-    Python, numpy and scipy versions that wrote them.
+    Python and numpy versions that wrote them.
     """
     if not records:
         raise ValueError("no records to report")
@@ -374,8 +373,7 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
         "num_records": len(records),
         "seeds": sorted({rec.seed for rec in records}),
         "configs": [rec.config for rec in records],
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (frequency_response, reference_convolve, reference_decimate,
                      reference_interpolate, reference_symbols)
+from scipy import fft as scipy_fft
 
-from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, convolve, decimate, downsample,
-                          generate_symbols, interpolate, rrc_filter,
-                          super_gaussian_lpf, truncate_taps, truncated_rrc,
-                          upsample)
+from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, _frame_len, _real_spectrum,
+                          convolve, decimate, downsample, generate_symbols,
+                          interpolate, rrc_filter, super_gaussian_lpf, truncate_taps,
+                          truncated_rrc, upsample)
 from cvqkdsim.link import LinkConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec, full_scale
 
@@ -361,6 +363,54 @@ class TestInterpolate:
         quant = QuantizerSpec(bits=16)
         _assert_dac_levels_match_oracle_path(LinkConfig(
             num_symbols=10_000, seed=seed, tx_len=1001, rx_len=1001, dac=quant, adc=quant))
+
+
+class TestTransforms:
+    """The overlap-save paths of ``convolve``, ``decimate`` and
+    ``interpolate`` run through numpy.fft."""
+
+    @pytest.mark.parametrize("bad", [np.inf, 1e308])
+    @pytest.mark.parametrize("stage", ["convolve", "decimate", "interpolate"])
+    def test_nonfinite_input_gives_nonfinite_output_without_warning(self, stage, bad):
+        # numpy warns on inf and on overflow in the transforms and in the
+        # spectrum products; the chain's finite check is the one place that
+        # reports a non-finite signal
+        rng = np.random.default_rng(9)
+        sig = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        sig[700] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if stage == "convolve":
+                lpf = super_gaussian_lpf()
+                assert len(lpf) >= _FFT_MIN_TAPS
+                out = convolve(sig, lpf)
+            elif stage == "decimate":
+                out = decimate(sig, truncated_rrc(101).taps, 4, 100, 400)
+            else:
+                taps = truncated_rrc(101).taps
+                assert -(-len(taps) // 4) >= _FFT_MIN_TAPS  # the long-row path
+                out = interpolate(sig, taps, 4)
+        assert not np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("num_taps, sps", [(101, 4), (257, 4), (257, 1)])
+    def test_tap_spectra_are_real_input_transform_bits(self, num_taps, sps):
+        # decimate's (sps, rows) tap rows at their frame length
+        taps = truncated_rrc(num_taps).taps
+        rows = -(-num_taps // sps)
+        padded = np.zeros(rows * sps)
+        padded[:num_taps] = taps
+        polyphase = padded.reshape(rows, sps).T
+        nfft = _frame_len(rows)
+        want = scipy_fft.fft(polyphase, nfft, axis=-1)
+        assert _real_spectrum(polyphase, nfft).tobytes() == want.tobytes()
+
+    def test_long_tx_tap_spectrum_is_real_input_transform_bits(self):
+        # interpolate's 1001-tap spectrum at sps * frame length = 8192
+        taps = truncated_rrc(1001).taps
+        n = 4 * _frame_len(-(-(len(taps) - 1) // 4) + 1)
+        assert n == 8192
+        want = scipy_fft.fft(taps, n)
+        assert _real_spectrum(taps, n).tobytes() == want.tobytes()
 
 
 def _assert_dac_levels_match_oracle_path(config: LinkConfig) -> None:

@@ -7,7 +7,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -351,8 +350,7 @@ class TestReport:
         assert manifest["num_records"] == 2
         assert manifest["configs"]
         assert manifest["versions"] == {"python": platform.python_version(),
-                                        "numpy": np.__version__,
-                                        "scipy": scipy.__version__}
+                                        "numpy": np.__version__}
 
 
 class TestConfigLoading:
