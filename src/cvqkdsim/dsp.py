@@ -93,35 +93,26 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
     return out
 
 
-# np.convolve has an unrolled loop for kernels of up to 11 taps; there its two
-# real passes beat one overlap-save pass over the complex signal at 10k-400k
-# samples, and from 12 taps on the overlap-save pass wins
-_FFT_MIN_TAPS = 12
-
-
 def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
     """Full linear convolution of a signal with an FIR filter.
 
-    The method depends only on the filter length. Below ``_FFT_MIN_TAPS``
-    taps each real rail runs through ``np.convolve``; from there on the
-    (complex) signal runs once through ``decimate`` at one sample per output,
-    which is overlap-save, so both rails share one FFT. A real input gives a
-    real output. The chain calls it for the LPF; the tx filter runs through
-    ``interpolate`` and the rx filter through ``decimate``.
+    The (complex) signal runs once through ``decimate`` at one sample per
+    output, which is overlap-save, so both rails share one FFT. A real input
+    gives a real output. The chain calls it for the LPF; the tx filter runs
+    through ``interpolate`` and the rx filter through ``decimate``.
     """
     sig = np.asarray(sig)
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
-    if len(fir) < _FFT_MIN_TAPS:
-        if not np.iscomplexobj(sig):
-            return np.convolve(sig, fir.taps)
-        out = np.empty(len(sig) + len(fir) - 1, dtype=complex)
-        out.real = np.convolve(sig.real, fir.taps)
-        out.imag = np.convolve(sig.imag, fir.taps)
-        return out
     out = decimate(sig, fir.taps, 1, 0, len(sig) + len(fir) - 1)
     return out if np.iscomplexobj(sig) else out.real
 
+
+# interpolate's tap rows shorter than this run through np.convolve, which has
+# an unrolled loop for kernels of up to 11 taps; there its two real passes beat
+# one overlap-save pass over the complex signal at 10k-400k samples, and from
+# 12 taps on the overlap-save pass wins
+_FFT_MIN_TAPS = 12
 
 # numpy warns where a non-finite sample meets the transforms or the spectrum
 # products; such a signal comes out non-finite, and the chain's finite check
@@ -139,9 +130,8 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     output sample ``q*sps + p`` is the convolution of the symbols with row
     ``p`` at ``q``. Each real rail of the symbols runs through
     ``np.convolve`` with each row, straight into its rail's strided phase
-    slots of the interleaved output, as ``convolve`` would filter it (the
-    same bits). Longer rows run one overlap-save pass at the full
-    rate: frames of ``M`` symbols (``_frame_len``) overlap by
+    slots of the interleaved output. Longer rows run one overlap-save pass
+    at the full rate: frames of ``M`` symbols (``_frame_len``) overlap by
     ``ceil((len(taps) - 1) / sps)`` symbols and take one forward FFT, and
     since the spectrum of a zero-stuffed frame is the symbol spectrum
     repeated ``sps`` times, each frame spectrum is tiled ``sps`` times

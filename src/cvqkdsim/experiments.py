@@ -230,7 +230,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     a taps-bits reference that is also a grid point is evaluated once; a
     reference without key raises ``ValueError``, since the gap is undefined.
     The budget and every block's filter transient are checked
-    (``_check_spec``) before the first chain runs.
+    (``_check_spec``) before the first chain runs. ``workers`` is the number
+    of threads each grid point's ``optimize`` runs its episodes on.
     """
     _check_spec(spec)
     if spec.kind == "photon-scan":

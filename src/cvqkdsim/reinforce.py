@@ -7,8 +7,8 @@ Rewards come from running the chain and never from differentiating it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -300,11 +300,6 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
                        best_params=best_params, best_reward=best_reward)
 
 
-def _episode_task(args) -> Episode:
-    policy, env, ep_seed, chain_seed, config = args
-    return sample_episode(policy, env, ep_seed, config, chain_seed)
-
-
 def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
              workers: int = 1) -> OptimizeResult:
     """Run the full REINFORCE loop and return the best-so-far parameters.
@@ -316,6 +311,10 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
     nor any episode gave a valid reward. Per-episode seeds derive from
     (config.seed, iteration, index); traces are reproducible for any
     worker count.
+
+    With ``workers > 1`` each batch's episodes run on that many threads of
+    this process (the chain's transforms and array passes release the
+    GIL); otherwise they run in the calling thread.
     """
     _, init_chain_seed = _episode_seeds(config.seed, 0, 0)
     try:
@@ -328,7 +327,12 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
         policy = replace(init, best_params=None, best_reward=-np.inf)
 
     trace: list[TraceRow] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here, so that importing the package loads no executor
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
+    run = map if pool is None else pool.map
     try:
         for iteration in range(1, config.iterations + 1):
             seeds = [_episode_seeds(config.seed, iteration, idx)
@@ -336,12 +340,9 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
             # one symbol realization per batch: the shared estimation
             # noise cancels against the batch-mean baseline instead of
             # driving a random walk of the high-dimensional tap groups
-            shared = seeds[0][1]
-            tasks = [(policy, env, ep, shared, config) for ep, _ in seeds]
-            if pool is not None:
-                batch = list(pool.map(_episode_task, tasks))
-            else:
-                batch = [_episode_task(t) for t in tasks]
+            episode = partial(sample_episode, policy, env,
+                              config=config, chain_seed=seeds[0][1])
+            batch = list(run(episode, [ep for ep, _ in seeds]))
             policy = reinforce_update(policy, batch, config)
             trace.append(TraceRow(
                 iteration=iteration,

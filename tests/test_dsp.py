@@ -156,8 +156,8 @@ class TestConvolve:
            complex_signal=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @example(n=3000, num_taps=1001, complex_signal=True, seed=11)
     def test_property_matches_oracle(self, n, num_taps, complex_signal, seed):
-        # filters on both sides of _FFT_MIN_TAPS: direct below it, overlap-save
-        # from it on; the example has the chain's 1001-tap reference filter
+        # short and long filters take the same overlap-save path; the example
+        # has the chain's 1001-tap reference filter
         rng = np.random.default_rng(seed)
         sig = rng.normal(size=n)
         if complex_signal:
@@ -168,19 +168,6 @@ class TestConvolve:
         assert got.shape == want.shape
         assert np.iscomplexobj(got) == complex_signal
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("num_taps", [1, 3, _FFT_MIN_TAPS - 1])
-    def test_short_filters_are_np_convolve_bit_for_bit(self, num_taps):
-        # the 2/3-tap rows of the default 11-tap tx filter take this path;
-        # equal bits keep those chains byte-identical to scipy's direct sum
-        rng = np.random.default_rng(num_taps)
-        sig = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
-        taps = rng.normal(size=num_taps)
-        got = convolve(sig, FirFilter(taps))
-        np.testing.assert_array_equal(got.real, np.convolve(sig.real, taps))
-        np.testing.assert_array_equal(got.imag, np.convolve(sig.imag, taps))
-        np.testing.assert_array_equal(convolve(sig.real, FirFilter(taps)),
-                                      np.convolve(sig.real, taps))
 
 
 class TestDecimate:
@@ -381,9 +368,7 @@ class TestTransforms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if stage == "convolve":
-                lpf = super_gaussian_lpf()
-                assert len(lpf) >= _FFT_MIN_TAPS
-                out = convolve(sig, lpf)
+                out = convolve(sig, super_gaussian_lpf())
             elif stage == "decimate":
                 out = decimate(sig, truncated_rrc(101).taps, 4, 100, 400)
             else:

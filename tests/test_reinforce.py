@@ -1,8 +1,10 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cvqkdsim import reinforce
 from cvqkdsim.keyrate import devetak_winter_rate
 from cvqkdsim.link import (LinkConfig, baseline_filters, effective_response,
                            estimate_parameters, run_chain)
@@ -238,6 +240,24 @@ class TestOptimize:
         parallel = optimize(env, policy, cfg, workers=2)
         assert serial.trace == parallel.trace
         assert serial.best_reward == parallel.best_reward
+
+    def test_workers_evaluate_every_episode_in_this_process(self, monkeypatch):
+        # a forked worker would record into its own memory, not into pids
+        env = _small_env()
+        policy = _policy(env)
+        cfg = OptimizerConfig(batch_size=4, iterations=2, seed=6)
+        serial = optimize(env, policy, cfg, workers=1)
+        pids = []
+
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return chain_reward(*args, **kwargs)
+
+        monkeypatch.setattr(reinforce, "chain_reward", recorded)
+        threaded = optimize(env, policy, cfg, workers=2)
+        # the start, then every episode of every batch
+        assert pids == [os.getpid()] * (1 + cfg.iterations * cfg.batch_size)
+        assert threaded.trace == serial.trace
 
     def test_best_reward_trace_monotone(self):
         env = _small_env()

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone: importing it loads no scipy module."""
+"""The package runs on numpy alone in one process: importing it loads no
+scipy, multiprocessing or concurrent.futures module."""
 
 import os
 import subprocess
@@ -8,10 +9,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_no_scipy():
+def _loaded_modules(*roots: str) -> str:
     code = ("import sys, cvqkdsim, cvqkdsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_modules("scipy") == "[]"
+
+
+def test_import_loads_no_process_or_executor_module():
+    # optimize imports its thread pool only when it runs more than one worker
+    assert _loaded_modules("multiprocessing", "concurrent") == "[]"
