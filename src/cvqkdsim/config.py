@@ -13,7 +13,7 @@ import typing
 from pathlib import Path
 
 from .experiments import ReferencePoint, SweepSpec, _check_spec
-from .link import LinkConfig, LpfConfig
+from .link import LinkConfig, LpfConfig, transient_margin
 from .quantization import QuantizerSpec
 from .reinforce import GroupSigmas, OptimizerConfig
 
@@ -99,14 +99,25 @@ def load_json(path: str | Path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _check_block(env: LinkConfig, path: str = "") -> None:
+    """Refuse a block too short for ``env``'s own filters (``transient_margin``)."""
+    try:
+        transient_margin(env, env.tx_len, env.rx_len)
+    except ValueError as exc:
+        raise ConfigError(f"{path}{exc}") from None
+
+
 def load_link_config(path: str | Path) -> LinkConfig:
-    return dataclass_from_dict(LinkConfig, load_json(path))
+    """The ``simulate`` link, its block checked before the chain runs."""
+    link = dataclass_from_dict(LinkConfig, load_json(path))
+    _check_block(link)
+    return link
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Load a sweep spec, checked before any chain runs: a grid over
     ``max_points`` raises ``BudgetError``, and a block too short for a
-    filter transient is a config error."""
+    filter transient (``transient_margin``) is a config error."""
     spec = dataclass_from_dict(SweepSpec, load_json(path))
     try:
         _check_spec(spec)
@@ -116,7 +127,10 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
 
 
 def load_optimize_run(path: str | Path) -> OptimizeRun:
-    return dataclass_from_dict(OptimizeRun, load_json(path))
+    """The ``optimize`` document, its ``env`` block checked before any episode."""
+    run = dataclass_from_dict(OptimizeRun, load_json(path))
+    _check_block(run.env, "env: ")
+    return run
 
 
 def all_defaults() -> dict:

@@ -17,13 +17,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FirFilter:
-    """Real FIR tap vector.
-
-    When ``normalized`` is set the taps carry unit energy (sum of squares 1).
-    """
+    """Real FIR tap vector."""
 
     taps: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=float)
@@ -32,12 +28,6 @@ class FirFilter:
             raise ValueError("taps must be a non-empty 1-D vector")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
-        if self.normalized and abs(self.energy - 1.0) > 1e-12:
-            raise ValueError("normalized filter must have unit energy")
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(self.taps**2))
 
     def __len__(self) -> int:
         return len(self.taps)
@@ -47,7 +37,7 @@ class FirFilter:
         norm = float(np.sqrt(np.sum(self.taps**2)))
         if norm <= 0:
             raise ValueError("cannot normalize an all-zero filter")
-        return FirFilter(self.taps / norm, normalized=True)
+        return FirFilter(self.taps / norm)
 
 
 def generate_symbols(count: int, mean_photon: float, seed: int) -> np.ndarray:
@@ -318,7 +308,7 @@ def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:
     den = np.pi * tr * (1.0 - (4.0 * rolloff * tr) ** 2)
     h[rest] = num / den
     h /= np.sqrt(np.sum(h**2))
-    return FirFilter(h, normalized=True)
+    return FirFilter(h)
 
 
 def truncate_taps(fir: FirFilter, num_taps: int) -> FirFilter:
@@ -358,11 +348,16 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
         raise ValueError(f"order must be >= 1, got {order}")
     if bandwidth_norm <= 0:
         raise ValueError(f"bandwidth_norm must be positive, got {bandwidth_norm}")
+    if num_taps < 1:
+        raise ValueError(f"num_taps must be >= 1, got {num_taps}")
     if num_taps % 2 == 0:
         raise ValueError("num_taps must be odd for a symmetric linear-phase FIR")
     grid = 1 << max(12, int(np.ceil(np.log2(8 * num_taps))))
     f = np.fft.fftfreq(grid, d=1.0 / sps)  # cycles per symbol duration
-    mag = np.exp(-(np.log(2.0) / 2.0) * np.abs(f / bandwidth_norm) ** (2 * order))
+    # past the band edge a high order's power overflows to inf, and exp(-inf)
+    # is the 0 that the magnitude underflows to there anyway
+    with np.errstate(over="ignore"):
+        mag = np.exp(-(np.log(2.0) / 2.0) * np.abs(f / bandwidth_norm) ** (2 * order))
     h = np.fft.ifft(mag).real
     h = np.roll(h, grid // 2)
     half = (num_taps - 1) // 2

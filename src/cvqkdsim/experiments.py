@@ -65,10 +65,8 @@ class SweepSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.symbol_rate is not None and not self.symbol_rate > 0:
             raise ValueError(f"symbol_rate must be positive, got {self.symbol_rate}")
-        if self.eval_num_symbols is not None:
-            if self.eval_num_symbols < 1:
-                raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
-            replace(self.env, num_symbols=self.eval_num_symbols)  # the eval block's checks
+        if self.eval_num_symbols is not None and self.eval_num_symbols < 1:
+            raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
         if self.photon_grid is None:  # distance sweeps pin the photon number
             grid = [6.0] if self.kind == "distance-sweep" else \
                 list(np.geomspace(0.5, 40.0, 33))
@@ -191,12 +189,13 @@ def _reference_env(spec: SweepSpec) -> LinkConfig:
 
 def _check_spec(spec: SweepSpec) -> None:
     """Raise ``BudgetError`` when the grid exceeds ``max_points``, and
-    ``ValueError`` when a block the sweep runs keeps no symbol.
+    ``ValueError`` when a block the sweep runs is too short.
 
     The grid points, the taps-bits reference and a photon scan's link are
-    checked against ``transient_margin`` at the evaluation block, and the
-    grid points also at ``env.num_symbols`` when the sweep optimizes, since
-    the optimizer's chains run there.
+    built at the evaluation block, which runs ``LinkConfig``'s own checks,
+    and checked against ``transient_margin``; the grid points also at
+    ``env.num_symbols`` when the sweep optimizes, since the optimizer's
+    chains run there.
     """
     size = spec.grid_size()
     if size > spec.max_points:

@@ -39,16 +39,6 @@ class SkrInputs:
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
-    @property
-    def modulation_variance(self) -> float:
-        """V_mod = 2 n in SNU."""
-        return 2.0 * self.mean_photon
-
-    @property
-    def excess_noise_snu(self) -> float:
-        """xi = 2 n_ex in SNU at Bob's input."""
-        return 2.0 * self.excess_photons
-
 
 @dataclass(frozen=True)
 class TwoModeCovariance:
@@ -68,24 +58,18 @@ class TwoModeCovariance:
         if self.a < 1.0 or self.b < 1.0:
             raise ValueError("mode variances must be >= 1 SNU")
 
-    def matrix(self) -> np.ndarray:
-        """The explicit 4x4 matrix in (qA, pA, qB, pB) ordering."""
-        sz = np.diag([1.0, -1.0])
-        eye = np.eye(2)
-        return np.block([[self.a * eye, self.c * sz],
-                         [self.c * sz, self.b * eye]])
-
 
 def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
     """Entangling-cloner covariance of the effective Gaussian channel.
 
     a = V, b = tau (V - 1) + 1 + xi, c = sqrt(tau (V^2 - 1)) with
-    V = V_mod + 1 and the excess noise xi added at the output. The
-    determinant ab - c^2 = V (1 - tau + xi) + tau is formed from the inputs.
+    V = V_mod + 1 and the excess noise xi added at the output, both in SNU:
+    V_mod = 2 n and xi = 2 n_ex at Bob's input. The determinant
+    ab - c^2 = V (1 - tau + xi) + tau is formed from the inputs.
     """
-    v = inputs.modulation_variance + 1.0
+    v = 2.0 * inputs.mean_photon + 1.0
     tau = inputs.transmittance
-    xi = inputs.excess_noise_snu
+    xi = 2.0 * inputs.excess_photons
     a = v
     b = tau * (v - 1.0) + 1.0 + xi
     c = float(np.sqrt(tau * (v * v - 1.0)))

@@ -20,6 +20,9 @@ from .quantization import QuantizationReport, QuantizerSpec, _mean_square, conve
 # and takes its noise figures with ``_mean_square`` (ROADMAP item 3)
 from .quantization import clip_fraction, full_scale, measure_noise, quantize  # noqa: F401
 
+# the fewest pairs estimate_parameters takes: every block keeps this many
+MIN_SYMBOL_PAIRS = 1000
+
 
 @dataclass(frozen=True)
 class LpfConfig:
@@ -87,15 +90,13 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class IsiProfile:
-    """Effective response and its symbol-spaced interference coefficients.
+    """Symbol-spaced summary of the effective response z.
 
-    coefficients[j] = z[delay_index + j * sps]; c0_sq is the useful-tap
-    power |c_0|^2 and isi_sum the leaked power sum over j != 0.
+    With c_j = z[delay_index + j * sps], c0_sq is the useful-tap power
+    |c_0|^2 and isi_sum the leaked power sum over j != 0.
     """
 
-    response: np.ndarray
     delay_index: int
-    coefficients: dict[int, float]
     c0_sq: float
     isi_sum: float
 
@@ -158,16 +159,15 @@ def effective_response(h_tx: FirFilter, lpf: FirFilter, h_rx: FirFilter,
     """Convolve the deployed filters and sample the result at symbol spacing.
 
     The sampling phase is the peak of |z| (ties toward the smaller index)
-    and the coefficient support covers the whole response.
+    and the coefficient support covers the whole response. The ISI sum adds
+    the squares in index order (Python's ``sum``, not numpy's pairwise one).
     """
     z = np.convolve(np.convolve(h_tx.taps, h_rx.taps), lpf.taps)
     delay = int(np.argmax(np.abs(z)))
-    first = -(delay // sps)  # j of the earliest symbol-spaced tap
-    coeff = {first + k: float(v) for k, v in enumerate(z[delay % sps::sps])}
-    c0_sq = coeff[0] ** 2
-    isi_sum = float(sum(v * v for j, v in coeff.items() if j != 0))
-    return IsiProfile(response=z, delay_index=delay, coefficients=coeff,
-                      c0_sq=c0_sq, isi_sum=isi_sum)
+    row = z[delay % sps::sps]  # c_j for j = -(delay // sps) on
+    main = delay // sps
+    return IsiProfile(delay_index=delay, c0_sq=float(row[main]) ** 2,
+                      isi_sum=float(sum((np.delete(row, main) ** 2).tolist())))
 
 
 def transient_margin(config: LinkConfig, tx_len: int, rx_len: int) -> int:
@@ -176,13 +176,16 @@ def transient_margin(config: LinkConfig, tx_len: int, rx_len: int) -> int:
     The margin is ceil(len(z) / sps) for the effective response z of the tx
     filter, the LPF and the rx filter, len(z) = tx_len + rx_len +
     lpf.num_taps - 2. Raises ``ValueError`` naming it when the block of
-    ``config.num_symbols`` keeps no symbol.
+    ``config.num_symbols`` keeps fewer than ``MIN_SYMBOL_PAIRS`` symbols,
+    which ``estimate_parameters`` needs.
     """
     margin = -(-(tx_len + rx_len + config.lpf.num_taps - 2) // config.sps)
-    if config.num_symbols <= 2 * margin:
+    kept = config.num_symbols - 2 * margin
+    if kept < MIN_SYMBOL_PAIRS:
         raise ValueError(
             f"num_symbols={config.num_symbols} too small for the filter "
-            f"transient ({margin} symbols per edge)")
+            f"transient ({margin} symbols per edge): it keeps {max(kept, 0)} "
+            f"symbols, and the estimate needs at least {MIN_SYMBOL_PAIRS}")
     return margin
 
 
@@ -275,8 +278,8 @@ def estimate_parameters(tx_symbols: np.ndarray,
     rx = np.asarray(rx_symbols)
     if len(tx) != len(rx):
         raise ValueError(f"length mismatch: {len(tx)} vs {len(rx)}")
-    if len(tx) < 1000:
-        raise ValueError(f"need at least 1000 symbol pairs, got {len(tx)}")
+    if len(tx) < MIN_SYMBOL_PAIRS:
+        raise ValueError(f"need at least {MIN_SYMBOL_PAIRS} symbol pairs, got {len(tx)}")
     gain = float(np.real(np.vdot(tx, rx)) / np.real(np.vdot(tx, tx)))
     return ParameterEstimate(tau_hat=gain * gain, n_ex_hat=_mean_square(rx - gain * tx))
 

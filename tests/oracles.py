@@ -62,6 +62,15 @@ def numeric_mutual_information(matrix: np.ndarray) -> float:
     return float(0.5 * np.log2(det_a * det_b / det_full))
 
 
+def covariance_matrix(cov) -> np.ndarray:
+    """The explicit 4x4 matrix [[a I2, c sz], [c sz, b I2]] of a
+    ``TwoModeCovariance``, in (qA, pA, qB, pB) ordering."""
+    sz = np.diag([1.0, -1.0])
+    eye = np.eye(2)
+    return np.block([[cov.a * eye, cov.c * sz],
+                     [cov.c * sz, cov.b * eye]])
+
+
 def numeric_channel_covariance(mean_photon: float, tau: float,
                                n_ex: float) -> np.ndarray:
     """Two-mode state after a lossy, noisy channel on mode B, as X V X^T + Y.
@@ -115,6 +124,19 @@ def reference_interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np
     stuffed = np.zeros(len(symbols) * sps, dtype=complex)
     stuffed[::sps] = symbols
     return reference_convolve(stuffed, taps)
+
+
+def reference_isi(h_tx: np.ndarray, lpf: np.ndarray, h_rx: np.ndarray,
+                  sps: int) -> tuple[int, dict[int, float], float, float]:
+    """Peak index, the coefficients c_j = z[delay + j * sps] over the whole
+    effective response z, and their c_0^2 and sum over j != 0 of c_j^2, the
+    squares added one at a time in index order."""
+    z = np.convolve(np.convolve(h_tx, h_rx), lpf)
+    delay = int(np.argmax(np.abs(z)))
+    first = -(delay // sps)
+    coeff = {first + k: float(v) for k, v in enumerate(z[delay % sps::sps])}
+    isi_sum = float(sum(v * v for j, v in coeff.items() if j != 0))
+    return delay, coeff, coeff[0] ** 2, isi_sum
 
 
 def frequency_response(taps: np.ndarray, freqs_norm, sps: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, _frame_len, _real_spectrum,
                           convolve, decimate, downsample, generate_symbols,
                           interpolate, rrc_filter, super_gaussian_lpf, truncate_taps,
                           truncated_rrc, upsample)
-from cvqkdsim.link import LinkConfig, baseline_filters
+from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec, full_scale
 
 
@@ -498,12 +498,23 @@ class TestSuperGaussianLpf:
         with pytest.raises(ValueError):
             super_gaussian_lpf(num_taps=256)
 
+    @pytest.mark.parametrize("num_taps", [-5, -1])
+    def test_rejects_non_positive_length_naming_it(self, num_taps):
+        # odd, so it got past the parity check into log2 of a negative size
+        with pytest.raises(ValueError, match=f"num_taps must be >= 1, got {num_taps}"):
+            super_gaussian_lpf(num_taps=num_taps)
+        with pytest.raises(ValueError, match="num_taps must be >= 1"):
+            LinkConfig(lpf=LpfConfig(num_taps=num_taps))
+
+    def test_high_order_designs_without_overflow(self):
+        # |f / f3dB| ** 800 overflows past the band edge, where the
+        # magnitude is 0 either way; the suite turns the warning into an error
+        h = LinkConfig(lpf=LpfConfig(order=400)).lpf_filter()
+        assert np.all(np.isfinite(h.taps))
+        assert np.sum(h.taps) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestTypeInvariants:
     def test_fir_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             FirFilter(np.array([1.0, np.nan]))
-
-    def test_fir_normalized_flag_enforced(self):
-        with pytest.raises(ValueError):
-            FirFilter(np.array([2.0, 1.0]), normalized=True)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments, reinforce
@@ -16,7 +16,7 @@ from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep,
                                   save_records, load_records)
 from cvqkdsim.dsp import FirFilter
-from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
+from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters, transient_margin
 from cvqkdsim.quantization import QuantizerSpec
 from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
 
@@ -60,15 +60,6 @@ _optimizer = st.builds(
 _reference = st.builds(ReferencePoint, ref_taps=_count, ref_bits=st.integers(1, 62))
 
 
-def _sweep_spec(**fields):
-    # a short evaluation block with a long LPF is refused by the spec itself
-    # (its LinkConfig check), so such a draw is no valid instance
-    try:
-        return SweepSpec(**fields)
-    except ValueError:
-        reject()
-
-
 # every sweep axis non-empty, so that each kind is valid
 _VALID = {
     "LinkConfig": _link, "LpfConfig": _lpf,
@@ -77,7 +68,7 @@ _VALID = {
     "GroupRates": st.builds(GroupRates, tx=_finite, rx=_finite, n=_finite),
     "ReferencePoint": _reference,
     "SweepSpec": st.builds(
-        _sweep_spec, kind=st.sampled_from(experiments.SWEEP_KINDS),
+        SweepSpec, kind=st.sampled_from(experiments.SWEEP_KINDS),
         bits=st.lists(st.integers(1, 62), min_size=1, max_size=4),
         taps=st.lists(_count, min_size=1, max_size=4),
         distances_km=st.lists(_non_negative, min_size=1, max_size=4),
@@ -134,8 +125,8 @@ class TestRunSweep:
          r"\(72 symbols per edge\)"),
         ({"env": _tiny_env(num_symbols=140), "eval_num_symbols": 3_000},
          r"grid point bits=8 \(optimizer block\): num_symbols=140 .*transient"),
-        ({"kind": "taps-bits-grid", "taps": [21], "eval_num_symbols": 1_000},
-         r"taps-bits reference taps=1001: num_symbols=1000 .*transient "
+        ({"kind": "taps-bits-grid", "taps": [21], "eval_num_symbols": 2_000},
+         r"taps-bits reference taps=1001: num_symbols=2000 .*transient "
          r"\(565 symbols per edge\)"),
         ({"kind": "photon-scan", "eval_num_symbols": 100},
          r"photon scan: num_symbols=100 too small for the filter transient "
@@ -434,8 +425,19 @@ class _ChainReached(Exception):
     """Raised by the patched ``run_chain``: the sweep got to its first chain."""
 
 
-def _chain_reached(*args, **kwargs):
+def _chain_reached(config, h_tx, h_rx, *args, **kwargs):
+    transient_margin(config, len(h_tx), len(h_rx))  # the chain's block rule
     raise _ChainReached
+
+
+# blocks past their filter transients but below the estimator's 1000 pairs:
+# 11/101 taps keep 16 symbols of 200, and 11/21 taps keep 56 in the
+# optimizer's block
+_BELOW_THE_FLOOR = [
+    {"kind": "bits-sweep", "bits": [8], "mode": "unoptimized", "photon_grid": [2.0],
+     "env": {"num_symbols": 200}},
+    {"kind": "bits-sweep", "bits": [8], "mode": "optimized", "photon_grid": [2.0],
+     "eval_num_symbols": 3000, "env": {"num_symbols": 200, "tx_len": 11, "rx_len": 21}}]
 
 
 class TestChecksAtLoad:
@@ -445,11 +447,14 @@ class TestChecksAtLoad:
                             photon_grid=[2.0]))
     @example(spec=SweepSpec(kind="bits-sweep", bits=[8], env=_tiny_env(rx_len=21),
                             mode="unoptimized", photon_grid=[2.0], eval_num_symbols=100))
+    @example(spec=dataclass_from_dict(SweepSpec, _BELOW_THE_FLOOR[0]))
+    @example(spec=dataclass_from_dict(SweepSpec, _BELOW_THE_FLOOR[1]))
     def test_loaded_spec_fails_first_in_the_chain(self, spec):
         # a spec that loads is free of every length, transient, photon-grid
         # and beta error and within its evaluation budget: its run fails
-        # first in run_chain (patched to raise). A spec may ask for 2^31
-        # taps, so only short filters are designed.
+        # first in run_chain (patched to raise once the block passes the
+        # chain's own transient check). A spec may ask for 2^31 taps, so
+        # only short filters are designed.
         def filters(env):
             if max(env.tx_len, env.rx_len) <= 4096:
                 return baseline_filters(env)
@@ -703,6 +708,48 @@ class TestCli:
         assert err.startswith(f"config error: {name}")
         assert "num_symbols=100 too small for the filter transient" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", _BELOW_THE_FLOOR, ids=["unoptimized", "optimized"])
+    def test_block_below_the_estimator_floor_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, doc):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "num_symbols=200 too small for the filter transient" in err
+        assert "the estimate needs at least 1000" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_simulate_block_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({"num_symbols": 200}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: num_symbols=200 too small for the filter transient "
+            "(92 symbols per edge): it keeps 16 symbols")
+        assert captured.out == ""
+
+    def test_short_optimize_block_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"env": {"num_symbols": 200},
+                                   "optimizer": {"batch_size": 4, "iterations": 1}}))
+        assert cli.main(["optimize", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: env: num_symbols=200 too small for the filter transient")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # the grid size depends on the spec alone, so it is refused at load

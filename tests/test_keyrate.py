@@ -9,9 +9,9 @@ from cvqkdsim.keyrate import (DEFAULT_BETA, SkrInputs, TwoModeCovariance,
                               holevo_bound, mutual_information,
                               secure_key_rate, symplectic_eigenvalues)
 
-from oracles import (mpmath_key_rate, numeric_channel_covariance,
-                     numeric_holevo, numeric_mutual_information,
-                     numeric_symplectic_eigenvalues,
+from oracles import (covariance_matrix, mpmath_key_rate,
+                     numeric_channel_covariance, numeric_holevo,
+                     numeric_mutual_information, numeric_symplectic_eigenvalues,
                      random_physical_covariance)
 
 
@@ -36,7 +36,7 @@ class TestBuildCovariance:
         for n, tau, n_ex in [(6.0, 0.01, 1e-5), (1.1, 0.5, 2e-3), (30.0, 0.9, 0.0)]:
             cov = build_covariance(SkrInputs(n, tau, n_ex))
             np.testing.assert_allclose(
-                cov.matrix(), numeric_channel_covariance(n, tau, n_ex),
+                covariance_matrix(cov), numeric_channel_covariance(n, tau, n_ex),
                 rtol=0.0, atol=1e-9)
 
     def test_rejects_nonpositive_transmittance(self):
@@ -65,7 +65,7 @@ class TestSymplecticEigenvalues:
             a, b, c, _ = random_physical_covariance(rng)
             cov = TwoModeCovariance(a, b, c, a * b - c * c)
             closed = symplectic_eigenvalues(cov)
-            numeric = numeric_symplectic_eigenvalues(cov.matrix())
+            numeric = numeric_symplectic_eigenvalues(covariance_matrix(cov))
             assert closed[0] == pytest.approx(numeric[0], abs=1e-9)
             assert closed[1] == pytest.approx(numeric[1], abs=1e-9)
 
@@ -93,7 +93,7 @@ class TestHolevoBound:
 
     def test_against_numeric_entropy_oracle(self):
         cov = build_covariance(SkrInputs(6.0, 0.01, 1.6e-3))
-        assert holevo_bound(cov) == pytest.approx(numeric_holevo(cov.matrix()),
+        assert holevo_bound(cov) == pytest.approx(numeric_holevo(covariance_matrix(cov)),
                                                   abs=1e-6)
 
     def test_conditional_eigenvalue_matches_schur_oracle(self):
@@ -102,7 +102,7 @@ class TestHolevoBound:
             a, b, c, _ = random_physical_covariance(rng)
             cov = TwoModeCovariance(a, b, c, a * b - c * c)
             cond = cov.a - cov.c**2 / (cov.b + 1.0)
-            matrix = cov.matrix()
+            matrix = covariance_matrix(cov)
             blk = matrix[:2, :2] - matrix[:2, 2:] @ np.linalg.inv(
                 matrix[2:, 2:] + np.eye(2)) @ matrix[:2, 2:].T
             assert conditional_eigenvalue(cov) == pytest.approx(cond, abs=1e-12)
@@ -128,7 +128,7 @@ class TestMutualInformation:
             a, b, c, _ = random_physical_covariance(rng)
             cov = TwoModeCovariance(a, b, c, a * b - c * c)
             assert mutual_information(cov) == pytest.approx(
-                numeric_mutual_information(cov.matrix()), abs=1e-9)
+                numeric_mutual_information(covariance_matrix(cov)), abs=1e-9)
 
 
 class TestSecureKeyRate:
