@@ -83,19 +83,34 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
     return out
 
 
-def convolve(sig: np.ndarray, fir: FirFilter) -> np.ndarray:
-    """Full linear convolution of a signal with an FIR filter.
+def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0) -> np.ndarray:
+    """Full linear convolution of a signal with an FIR filter, times ``gain``.
 
-    The (complex) signal runs once through ``decimate`` at one sample per
-    output, which is overlap-save, so both rails share one FFT. A real input
-    gives a real output. The chain calls it for the LPF; the tx filter runs
-    through ``interpolate`` and the rx filter through ``decimate``.
+    The (complex) signal runs once through ``decimate``'s overlap-save pass
+    at one sample per output, so both rails share one FFT. The filter's
+    spectrum at its frame length (``_tap_spectra``, the inverse transform's
+    1/n folded in) is computed once per tap vector (``_unit_spectrum``), and
+    ``gain`` scales that spectrum's few bins, not the output. A real input
+    gives a real output. The chain calls it for the LPF, with the channel
+    loss sqrt(tau_ch) as the gain; the tx filter runs through
+    ``interpolate`` and the rx filter through ``decimate``.
     """
     sig = np.asarray(sig)
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
-    out = decimate(sig, fir.taps, 1, 0, len(sig) + len(fir) - 1)
+    spectrum = _unit_spectrum(fir.taps.tobytes()) * gain
+    out = _decimate(sig, spectrum, len(fir), 1, 0, len(sig) + len(fir) - 1)
     return out if np.iscomplexobj(sig) else out.real
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_spectrum(taps: bytes) -> np.ndarray:
+    """``_tap_spectra(taps, 1)`` for the float64 taps in ``taps``, keyed by
+    those bytes: every chain of a config convolves with one LPF design, so
+    its spectrum is computed once. Read-only, since the callers share it."""
+    spectrum = _tap_spectra(np.frombuffer(taps), 1)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 # interpolate's tap rows shorter than this run through np.convolve, which has
@@ -126,7 +141,9 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     since the spectrum of a zero-stuffed frame is the symbol spectrum
     repeated ``sps`` times, each frame spectrum is tiled ``sps`` times
     against the whole filter's spectrum at length ``sps*M``, and one
-    inverse FFT gives contiguous outputs. The last ``sps - 1`` outputs, past the last symbol's reach,
+    inverse FFT gives contiguous outputs. That inverse runs unnormalized
+    (``norm="forward"``): its 1/n is folded into the taps before their
+    transform. The last ``sps - 1`` outputs, past the last symbol's reach,
     are set to exactly zero as in the stuffed convolution, so no FFT
     residue there can reach a converter level.
     The output is complex, as ``upsample`` makes it; a real input's
@@ -158,10 +175,10 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     step = m - overlap  # symbols, and step * sps outputs, per frame
     num_frames = -(-full_len // (step * sps))
     spectra = _frame_spectra(symbols, overlap, num_frames, step, m)
-    tap_spectrum = _real_spectrum(taps, sps * m).reshape(sps, m)
+    tap_spectrum = _real_spectrum(taps / (sps * m), sps * m).reshape(sps, m)
     tiled = (spectra[:, None, :] * tap_spectrum).reshape(num_frames, sps * m)
     del spectra
-    out = np.fft.ifft(tiled, axis=-1, out=tiled)[:, overlap * sps:]
+    out = np.fft.ifft(tiled, axis=-1, out=tiled, norm="forward")[:, overlap * sps:]
     out = out.reshape(-1)[:full_len]
     out[(n - 1) * sps + len(taps):] = 0
     if not np.iscomplexobj(symbols):
@@ -176,7 +193,6 @@ def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
     return sig[phase::sps]
 
 
-@_QUIET
 def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
              count: int) -> np.ndarray:
     """``convolve(sig, taps)[start::sps][:count]``, computing only the kept
@@ -186,8 +202,9 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     ``taps[r::sps]`` and filters the phase row ``sig[start - r + i*sps]``, so
     output k is the sum over r of the rows' convolutions at i = k. Each
     phase row is cut into overlapping frames (overlap-save) that take one
-    batched FFT; the phase spectra are multiplied by their tap spectra and
-    summed, and one batched inverse FFT yields the kept samples.
+    batched FFT; the phase spectra are multiplied by their tap spectra
+    (``_tap_spectra``, which carry the inverse transform's 1/n) and summed,
+    and one batched, unnormalized inverse FFT yields the kept samples.
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(sig) + len(taps) - 1`` gives the full
     convolution. Frame f holds phase samples ``f*step`` on, and every frame
@@ -198,18 +215,23 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     if start < 0 or count < 0:
         raise ValueError(f"start and count must be >= 0, got {start}, {count}")
     taps = np.asarray(taps, dtype=float)
-    n = len(sig)
-    full_len = n + len(taps) - 1 if n else 0
+    full_len = len(sig) + len(taps) - 1 if len(sig) else 0
     kept = max(0, min(count, -(-(full_len - start) // sps)))
     if kept == 0:
         return np.zeros(0, dtype=complex)
-    rows = -(-len(taps) // sps)  # length of the longest tap row
-    nfft = _frame_len(rows)
+    return _decimate(sig, _tap_spectra(taps, sps), len(taps), sps, start, kept)
+
+
+@_QUIET
+def _decimate(sig: np.ndarray, tap_spectra: np.ndarray, num_taps: int, sps: int,
+              start: int, kept: int) -> np.ndarray:
+    """``decimate``'s pass, given its ``_tap_spectra`` and its ``kept >= 1``
+    outputs, all inside the full convolution."""
+    n = len(sig)
+    rows = -(-num_taps // sps)  # length of the longest tap row
+    nfft = tap_spectra.shape[-1]
     step = nfft - rows + 1  # kept outputs per frame; the last frame's surplus is dropped
     num_frames = -(-kept // step)
-    padded = np.zeros(rows * sps)
-    padded[:len(taps)] = taps
-    tap_spectra = _real_spectrum(padded.reshape(rows, sps).T, nfft)
     for r in range(sps):
         first = start - (rows - 1) * sps - r  # signal index of phase sample 0
         i0 = -(-max(-first, 0) // sps)  # phase samples i0:i1 lie inside the signal
@@ -222,9 +244,24 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
         else:
             total += spectra
         del spectra
-    kept_rows = np.fft.ifft(total, axis=-1, out=total)[:, rows - 1:]
+    kept_rows = np.fft.ifft(total, axis=-1, out=total, norm="forward")[:, rows - 1:]
     del total
     return kept_rows.reshape(-1)[:kept]
+
+
+def _tap_spectra(taps: np.ndarray, sps: int) -> np.ndarray:
+    """The ``nfft``-point spectra of the ``sps`` tap rows ``taps[r::sps]``,
+    zero-padded to the longest row, at their frame length ``_frame_len``,
+    each divided by ``nfft``: the overlap-save inverse transforms run
+    unnormalized, so their 1/n rides in these few bins rather than in a
+    pass over the signal. ``nfft`` is a power of two, so the division only
+    shifts exponents and the products come out as with a normalized
+    inverse."""
+    rows = -(-len(taps) // sps)
+    nfft = _frame_len(rows)
+    padded = np.zeros(rows * sps)
+    np.divide(taps, nfft, out=padded[:len(taps)])
+    return _real_spectrum(padded.reshape(rows, sps).T, nfft)
 
 
 def _frame_len(rows: int) -> int:

@@ -46,17 +46,22 @@ class TwoModeCovariance:
 
     ``det`` is ab - c^2, passed in because ab and c^2 agree to about 1/V
     of their size at large modulation variance V: the caller forms it
-    without that cancellation where it can.
+    without that cancellation where it can. ``gap`` is a - b, taken as
+    that difference when not given; near tau = 1 it is far below the
+    spacing of floats of size V, so ``build_covariance`` passes it in too.
     """
 
     a: float
     b: float
     c: float
     det: float
+    gap: float | None = None
 
     def __post_init__(self):
         if self.a < 1.0 or self.b < 1.0:
             raise ValueError("mode variances must be >= 1 SNU")
+        if self.gap is None:
+            object.__setattr__(self, "gap", self.a - self.b)
 
 
 def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
@@ -65,7 +70,8 @@ def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
     a = V, b = tau (V - 1) + 1 + xi, c = sqrt(tau (V^2 - 1)) with
     V = V_mod + 1 and the excess noise xi added at the output, both in SNU:
     V_mod = 2 n and xi = 2 n_ex at Bob's input. The determinant
-    ab - c^2 = V (1 - tau + xi) + tau is formed from the inputs.
+    ab - c^2 = V (1 - tau + xi) + tau and the gap a - b = (1 - tau) V_mod - xi
+    are formed from the inputs.
     """
     v = 2.0 * inputs.mean_photon + 1.0
     tau = inputs.transmittance
@@ -73,7 +79,8 @@ def build_covariance(inputs: SkrInputs) -> TwoModeCovariance:
     a = v
     b = tau * (v - 1.0) + 1.0 + xi
     c = float(np.sqrt(tau * (v * v - 1.0)))
-    return TwoModeCovariance(a=a, b=b, c=c, det=v * (1.0 - tau + xi) + tau)
+    return TwoModeCovariance(a=a, b=b, c=c, det=v * (1.0 - tau + xi) + tau,
+                             gap=(1.0 - tau) * (v - 1.0) - xi)
 
 
 def gaussian_entropy(nu: float) -> float:
@@ -96,10 +103,11 @@ def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
     """Closed-form symplectic spectrum of the two-mode state.
 
     nu1 = (|a - b| + sqrt((a - b)^2 + 4 D)) / 2 and nu2 = D / nu1 with
-    D = ab - c^2; this is nu^2 = (A +/- sqrt(A^2 - 4 D^2)) / 2 with
-    A = a^2 + b^2 - 2c^2 = (a - b)^2 + 2 D, without its cancellations.
+    a - b the covariance's ``gap`` and D = ab - c^2; this is
+    nu^2 = (A +/- sqrt(A^2 - 4 D^2)) / 2 with A = a^2 + b^2 - 2c^2 =
+    (a - b)^2 + 2 D, without its cancellations.
     """
-    diff = abs(cov.a - cov.b)
+    diff = abs(cov.gap)
     disc = diff * diff + 4.0 * cov.det
     if not disc >= 0.0:
         raise ArithmeticError(f"unphysical covariance: (a - b)^2 + 4(ab - c^2) = {disc}")

@@ -23,6 +23,9 @@ from .quantization import clip_fraction, full_scale, measure_noise, quantize  # 
 # the fewest pairs estimate_parameters takes: every block keeps this many
 MIN_SYMBOL_PAIRS = 1000
 
+# the smallest normal float64, the least channel transmittance a link takes
+MIN_TRANSMITTANCE = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class LpfConfig:
@@ -40,6 +43,10 @@ class LinkConfig:
     ``channel_excess_photons`` is in photons, output-referred: the channel
     excess noise at Bob's input, after the fiber loss. Noise stated at the
     channel input enters as that value times ``channel_transmittance``.
+    The transmittance must be a normal float, at least ``MIN_TRANSMITTANCE``
+    (a loss of about 3077 dB: 15,382 km at 0.2 dB/km). Below it the
+    transmittance loses precision, and past about 3233 dB it is zero, which
+    leaves the ADC no signal to load its full scale from.
     """
 
     distance_km: float = 100.0
@@ -60,6 +67,13 @@ class LinkConfig:
         if not 0.0 <= self.attenuation_db_per_km < np.inf:
             raise ValueError("attenuation_db_per_km must be finite and >= 0, "
                              f"got {self.attenuation_db_per_km}")
+        if not self.channel_transmittance >= MIN_TRANSMITTANCE:
+            raise ValueError(
+                f"distance_km={self.distance_km} at attenuation_db_per_km="
+                f"{self.attenuation_db_per_km} is a loss of "
+                f"{self.distance_km * self.attenuation_db_per_km:g} dB, whose "
+                f"transmittance {self.channel_transmittance:g} is below the "
+                f"smallest normal float ({MIN_TRANSMITTANCE:g})")
         if not self.channel_excess_photons >= 0:
             raise ValueError("channel_excess_photons must be >= 0")
         if self.tx_len < 1 or self.rx_len < 1:
@@ -201,10 +215,12 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     tap rows (the 11-tap filter) filter the symbols' rails row by row, and
     long ones (the 1001-tap reference) run one full-rate overlap-save over
     the symbol spectrum tiled ``sps`` times. The LPF is filtered full-length
-    by ``dsp.convolve`` (overlap-save at its 257 taps), and the rx FIR by
-    ``dsp.decimate``, evaluated only at the ``num_symbols`` symbol-spaced
-    outputs from the response peak on. Each stage's input is released once
-    the next stage has it.
+    by ``dsp.convolve`` (overlap-save at its 257 taps), with the channel
+    loss sqrt(tau_ch) as its gain: the loss scales the LPF's spectrum,
+    which is computed once per LPF design, so no pass over the signal
+    applies it. The rx FIR runs through ``dsp.decimate``, evaluated only at
+    the ``num_symbols`` symbol-spaced outputs from the response peak on.
+    Each stage's input is released once the next stage has it.
     Each converter is one ``quantization.convert`` call: its full scale is
     frozen from its unquantized input, and it quantizes in one blocked
     pass. With reports it also counts the clips and leaves its error in its
@@ -244,9 +260,8 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         after_dac = shaped
     del shaped
 
-    attenuated = dsp.convolve(after_dac, lpf)
+    attenuated = dsp.convolve(after_dac, lpf, np.sqrt(config.channel_transmittance))
     del after_dac
-    attenuated *= np.sqrt(config.channel_transmittance)
 
     if config.adc is not None:
         after_adc, adc_clips = convert(attenuated, config.adc, reports)

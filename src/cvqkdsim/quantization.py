@@ -2,11 +2,12 @@
 
 Signals are plain numpy arrays, real or complex. The full-scale amplitude
 is loaded from the signal itself, A = kappa * sigma with sigma the pooled
-RMS of the real rails. The chain runs each converter as one ``convert``
-call: one blocked pass that loads the full scale, quantizes and, for the
-reports, counts clips and leaves the signed error x - q in the spent
-input. ``full_scale``, ``quantize`` and ``clip_fraction`` are the same
-steps one at a time; ``measure_noise`` compares against a kept input.
+RMS of the real rails, read in one ``_mean_square`` pass. The chain runs
+each converter as one ``convert`` call: that load, then one blocked pass
+that quantizes and, for the reports, counts clips and leaves the signed
+error x - q in the spent input. ``full_scale``, ``quantize`` and
+``clip_fraction`` are the same steps one at a time; ``measure_noise``
+compares against a kept input.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# a level (k + 1/2) * Delta with k < 2^(b-1) needs b significant bits, so up
+# to 53 bits every level of the mid-rise grid is exact in a float64
+MAX_BITS = 53
+# loading factors outside this range leave the converter no use (at 1e-3 all
+# but 0.08% of Gaussian rails clip; at 1e3 the signal spans a thousandth of
+# the range, ten bits unused), and far outside it the full scale of a
+# chain's signal under- or overflows a float
+CLIPPING_RANGE = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -24,10 +35,13 @@ class QuantizerSpec:
     clipping_factor: float = 4.0
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if not self.clipping_factor > 0:
-            raise ValueError(f"clipping_factor must be positive, got {self.clipping_factor}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {self.bits}: "
+                             f"past {MAX_BITS} bits the levels are not exact floats")
+        low, high = CLIPPING_RANGE
+        if not low <= self.clipping_factor <= high:
+            raise ValueError(f"clipping_factor must be in [{low:g}, {high:g}], "
+                             f"got {self.clipping_factor}")
 
     def step(self, full_scale: float) -> float:
         """Quantization step Delta = 2A / 2^b."""
@@ -53,9 +67,9 @@ class QuantizationReport:
             raise ValueError("clip_fraction must lie in [0, 1]")
 
 
-# rails (complex samples, when loading) per block of the converter passes:
-# a block's input and output (512 KB to 1 MB) stay in L2 while the block is
-# squared, or quantized, clip-counted and turned into its error
+# rails per block of the converter pass: a block's input and output (256 KB
+# each) stay in L2 while the block is quantized, clip-counted and turned into
+# its error
 _BLOCK = 1 << 15
 
 
@@ -65,26 +79,15 @@ def full_scale(sig: np.ndarray, spec: QuantizerSpec) -> float:
     Raises ``ValueError`` when the RMS is zero or not finite: the signal's
     power overflows a float, or the signal holds inf or NaN.
     """
-    return _load(sig, spec, np.empty((2 if np.iscomplexobj(sig) else 1) * len(sig)))
+    return _load(_rails(sig), spec)
 
 
-def _load(sig: np.ndarray, spec: QuantizerSpec, squares: np.ndarray) -> float:
-    """``full_scale``, with the rail squares written into ``squares`` (a
-    float buffer of one value per rail, which is then spent)."""
+def _load(rails: np.ndarray, spec: QuantizerSpec) -> float:
+    """``full_scale`` from the signal's float rails: one ``_mean_square``
+    read of them, which is the per-rail mean square."""
     # an overflow shows as a non-finite RMS, raised below
     with np.errstate(over="ignore"):
-        if np.iscomplexobj(sig):
-            # both rails squared into one buffer, real rail first, so that the
-            # pairwise mean runs over the same values in the same order; block
-            # by block, so that each block of the signal is read from memory once
-            n = len(sig)
-            for i in range(0, n, _BLOCK):
-                j = min(i + _BLOCK, n)
-                np.square(sig.real[i:j], out=squares[i:j])
-                np.square(sig.imag[i:j], out=squares[n + i:n + j])
-        else:
-            np.square(np.asarray(sig, dtype=float), out=squares)
-        rms = float(np.sqrt(np.mean(squares)))
+        rms = float(np.sqrt(_mean_square(rails)))
     if not np.isfinite(rms):
         raise ValueError(f"non-finite quantizer full scale ({rms}): the signal's "
                          "power overflows or the signal is not finite")
@@ -124,9 +127,8 @@ def convert(sig: np.ndarray, spec: QuantizerSpec,
     from ``sig``, quantize, and with ``reports`` count clips and keep errors.
 
     Returns ``(quantized, clip_fraction)``. The full scale is
-    ``full_scale(sig, spec)``, bit for bit: the rail squares are written
-    into the output buffer, in ``full_scale``'s order, before the levels
-    overwrite them. The output is ``quantize(sig, spec, A)`` bit for bit.
+    ``full_scale(sig, spec)``, one ``_mean_square`` read of the rails, and
+    the output is ``quantize(sig, spec, A)`` bit for bit.
     Without ``reports`` the clip fraction is None and ``sig`` is left as it
     is. With it, the clips (``clip_fraction(sig, A)``, exactly) are counted
     and each rail x of ``sig`` is overwritten with its signed error x - q
@@ -143,7 +145,7 @@ def convert(sig: np.ndarray, spec: QuantizerSpec,
                          "need a float64 or a contiguous complex128 signal")
     out = np.empty(len(sig), dtype=complex if np.iscomplexobj(sig) else float)
     rails = out.view(float)
-    clipped = _quantize_blocks(x, rails, spec, _load(sig, spec, rails), reports)
+    clipped = _quantize_blocks(x, rails, spec, _load(x, spec), reports)
     return out, clipped / rails.size if reports else None
 
 
@@ -190,7 +192,8 @@ def measure_noise(quantized: np.ndarray, reference: np.ndarray) -> float:
 
 def _mean_square(sig: np.ndarray) -> float:
     """E|x|^2 per sample with both rails summed, in one pass over the float
-    rails (``einsum``, which stays off threaded BLAS). The chain's DAC and
-    ADC noise and the estimate's residual power are all taken here."""
+    rails (``einsum``, which stays off threaded BLAS). Each converter's
+    full-scale load, the chain's DAC and ADC noise and the estimate's
+    residual power are all taken here."""
     rails = _rails(sig)
     return float(np.einsum("i,i->", rails, rails)) / len(sig)

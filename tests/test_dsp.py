@@ -169,6 +169,28 @@ class TestConvolve:
         assert np.iscomplexobj(got) == complex_signal
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000), num_taps=st.integers(1, 300),
+           complex_signal=st.booleans(),
+           gain=st.floats(1.5e-154, 1e3) | st.sampled_from([1.5e-154, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3000, num_taps=257, complex_signal=True, gain=0.1, seed=3)
+    def test_gain_matches_scaled_oracle(self, n, num_taps, complex_signal, gain, seed):
+        # the gain scales the tap spectrum, so the output is the scaled
+        # oracle convolution within the oracle tolerance; the smallest gain
+        # is the loss at the least transmittance a link takes
+        rng = np.random.default_rng(seed)
+        sig = rng.normal(size=n)
+        if complex_signal:
+            sig = sig + 1j * rng.normal(size=n)
+        fir = FirFilter(rng.normal(size=num_taps))
+        want = gain * reference_convolve(sig, fir.taps)
+        got = convolve(sig, fir, gain)
+        assert np.iscomplexobj(got) == complex_signal
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the shared unit spectrum is left as it was
+        assert convolve(sig, fir).tobytes() == convolve(sig, fir, 1.0).tobytes()
+
 
 class TestDecimate:
     """decimate returns convolve(s, taps)[start::sps][:count]: the same
@@ -361,10 +383,12 @@ class TestTransforms:
     def test_nonfinite_input_gives_nonfinite_output_without_warning(self, stage, bad):
         # numpy warns on inf and on overflow in the transforms and in the
         # spectrum products; the chain's finite check is the one place that
-        # reports a non-finite signal
+        # reports a non-finite signal. A run of 1e308 samples overflows the
+        # forward transforms (one such sample alone has a finite convolution,
+        # which the unnormalized inverse, its 1/n in the tap spectra, returns)
         rng = np.random.default_rng(9)
         sig = rng.normal(size=2000) + 1j * rng.normal(size=2000)
-        sig[700] = bad
+        sig[700:716] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if stage == "convolve":

@@ -17,7 +17,7 @@ from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   save_records, load_records)
 from cvqkdsim.dsp import FirFilter
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters, transient_margin
-from cvqkdsim.quantization import QuantizerSpec
+from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizerSpec
 from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
 
 
@@ -40,13 +40,28 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _count = st.integers(1, 2**31)
-_quantizer = st.builds(QuantizerSpec, bits=st.integers(1, 62), clipping_factor=_positive)
+_quantizer = st.builds(QuantizerSpec, bits=st.integers(1, MAX_BITS),
+                       clipping_factor=st.floats(*CLIPPING_RANGE))
 # a LinkConfig designs its LPF when it is built, so the LPF is valid and small
 _lpf = st.builds(LpfConfig, order=st.integers(1, 8), bandwidth_norm=st.floats(0.05, 2.0),
                 num_taps=st.integers(0, 256).map(lambda k: 2 * k + 1))
+
+
+@st.composite
+def _loss(draw):
+    """(distance_km, attenuation_db_per_km) of at most 3076 dB, which keeps
+    the transmittance a normal float."""
+    distance = draw(_non_negative)
+    top = 3076.0 / distance if distance else np.inf
+    return distance, draw(st.floats(0.0, min(top, np.finfo(float).max)))
+
+
+def _link_at(loss, **fields):
+    return LinkConfig(distance_km=loss[0], attenuation_db_per_km=loss[1], **fields)
+
+
 _link = st.builds(
-    LinkConfig, distance_km=_non_negative, attenuation_db_per_km=_non_negative,
-    channel_excess_photons=_non_negative, sps=st.integers(1, 64), lpf=_lpf,
+    _link_at, _loss(), channel_excess_photons=_non_negative, sps=st.integers(1, 64), lpf=_lpf,
     dac=st.none() | _quantizer, adc=st.none() | _quantizer, tx_len=_count,
     # at least as many samples as the longest LPF drawn, at sps 1
     rx_len=_count, num_symbols=st.integers(513, 2**31), seed=st.integers(0, 2**64 - 1))
@@ -532,6 +547,41 @@ class TestCli:
         assert cli.main(args) == 2
         assert "beta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # each of these links constructed before and failed only in its chain:
+    # 1100 bits overflow the step's 1 << bits, the loading factors under- or
+    # overflow the full scale, and 1e5 km leaves a transmittance of 0.0
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "sweep"])
+    @pytest.mark.parametrize("env,name", [
+        ({"dac": {"bits": 1100}}, "bits"),
+        ({"adc": {"bits": 10, "clipping_factor": 1e-300}}, "clipping_factor"),
+        ({"dac": {"bits": 10, "clipping_factor": 1e300}}, "clipping_factor"),
+        ({"distance_km": 1e5}, "distance_km=100000.0 at attenuation_db_per_km=0.2")],
+        ids=["bits", "kappa-low", "kappa-high", "distance"])
+    def test_link_that_cannot_run_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, env, name):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        env = {"num_symbols": 3000, "tx_len": 11, "rx_len": 21, **env}
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        if command == "simulate":
+            doc, args = env, ["simulate", "--config", str(cfg)]
+        elif command == "optimize":
+            doc = {"env": env, "optimizer": {"batch_size": 4, "iterations": 1}}
+            args = ["optimize", "--config", str(cfg), "--out", str(out)]
+        else:
+            doc = {"kind": "bits-sweep", "bits": [8], "photon_grid": [2.0],
+                   "mode": "unoptimized", "env": env}
+            args = ["sweep", "--spec", str(cfg), "--out-dir", str(out)]
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

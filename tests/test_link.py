@@ -1,6 +1,9 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_chain_reports, reference_isi
 
@@ -10,7 +13,7 @@ from cvqkdsim.keyrate import SkrInputs
 from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, ParameterEstimate,
                            assemble_budget, baseline_filters, effective_response,
                            estimate_parameters, run_chain, transient_margin)
-from cvqkdsim.quantization import QuantizationReport, QuantizerSpec
+from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizationReport, QuantizerSpec
 
 
 def _delta(n=1):
@@ -185,6 +188,28 @@ class TestRunChain:
             assert got.clip_fraction == ref.clip_fraction
             assert got.noise_power == pytest.approx(ref.noise_power * n / n0,
                                                     rel=1e-9)
+
+    def test_lpf_spectrum_is_computed_once_per_design(self, monkeypatch):
+        # the chain's loss rides in the LPF's spectrum, which two chains of
+        # one config (here on two seeds, as a batch's episodes share the
+        # LPF) take from one read-only computation
+        computed = []
+        tap_spectra = dsp._tap_spectra
+
+        def counting(taps, sps):
+            computed.append((len(taps), sps))
+            return tap_spectra(taps, sps)
+
+        monkeypatch.setattr(dsp, "_tap_spectra", counting)
+        dsp._unit_spectrum.cache_clear()
+        cfg = LinkConfig(distance_km=30.0, num_symbols=5_000, tx_len=11, rx_len=41)
+        h_tx, h_rx = baseline_filters(cfg)
+        for seed in (1, 2):
+            run_chain(replace(cfg, seed=seed), h_tx, h_rx, 3.0)
+        lpf = cfg.lpf_filter()
+        assert computed.count((len(lpf), 1)) == 1
+        assert computed.count((len(h_rx), cfg.sps)) == 4  # rx and ADC error, per chain
+        assert not dsp._unit_spectrum(lpf.taps.tobytes()).flags.writeable
 
     def test_quantizers_can_be_bypassed(self):
         cfg = LinkConfig(distance_km=10.0, dac=None, adc=None,
@@ -441,3 +466,74 @@ class TestBudgetConsistency:
             assert abs(z) <= 3.0
         else:
             assert z > 5.0
+
+
+# quantizers from the valid ranges and far outside them: bits past the 53 at
+# which the levels stop being exact (from 1024 on, 1 << bits overflows a
+# float), and loading factors over the floats' whole exponent range
+_any_quantizer = st.none() | st.tuples(
+    st.integers(1, MAX_BITS) | st.integers(MAX_BITS + 1, 1100),
+    st.floats(*CLIPPING_RANGE) | st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e))
+
+
+class TestEveryLinkThatConstructsRuns:
+    def test_transmittance_underflow_is_refused_naming_the_loss(self):
+        # 1e5 km at 0.2 dB/km is a 20000 dB loss, a transmittance of 0.0
+        with pytest.raises(ValueError, match=r"distance_km=100000.0 at "
+                                             r"attenuation_db_per_km=0.2 .* 20000 dB"):
+            LinkConfig(distance_km=1e5)
+        # the last whole kilometre whose transmittance is a normal float
+        assert LinkConfig(distance_km=15_382).channel_transmittance >= link.MIN_TRANSMITTANCE
+        with pytest.raises(ValueError, match="smallest normal float"):
+            LinkConfig(distance_km=15_383)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(distance_km=st.floats(0.0, 20_000.0), attenuation=st.floats(0.0, 0.4),
+           dac=_any_quantizer, adc=_any_quantizer,
+           lpf=st.builds(LpfConfig, order=st.integers(1, 8),
+                         bandwidth_norm=st.floats(0.05, 2.0),
+                         num_taps=st.integers(0, 32).map(lambda k: 2 * k + 1)),
+           sps=st.integers(1, 8), tx_len=st.integers(1, 21), rx_len=st.integers(1, 41),
+           num_symbols=st.integers(1_300, 2_500), seed=st.integers(0, 2**32 - 1),
+           n=st.floats(0.05, 50.0))
+    # the ends of the valid ranges, together, then the links the range checks
+    # refuse: each of these constructed before and failed in its chain
+    @example(distance_km=15_382.0, attenuation=0.2, dac=(MAX_BITS, CLIPPING_RANGE[0]),
+             adc=(MAX_BITS, CLIPPING_RANGE[1]), lpf=LpfConfig(num_taps=65), sps=4,
+             tx_len=11, rx_len=41, num_symbols=2_000, seed=1, n=0.05)
+    @example(distance_km=15_382.0, attenuation=0.2, dac=(1, CLIPPING_RANGE[1]),
+             adc=(1, CLIPPING_RANGE[0]), lpf=LpfConfig(num_taps=65), sps=4,
+             tx_len=11, rx_len=41, num_symbols=2_000, seed=1, n=50.0)
+    @example(distance_km=0.0, attenuation=0.2, dac=(1100, 4.0), adc=(10, 4.0),
+             lpf=LpfConfig(num_taps=65), sps=4, tx_len=11, rx_len=41,
+             num_symbols=2_000, seed=1, n=2.0)
+    @example(distance_km=0.0, attenuation=0.2, dac=(10, 1e-300), adc=(10, 1e300),
+             lpf=LpfConfig(num_taps=65), sps=4, tx_len=11, rx_len=41,
+             num_symbols=2_000, seed=1, n=2.0)
+    @example(distance_km=1e5, attenuation=0.2, dac=(10, 4.0), adc=(10, 4.0),
+             lpf=LpfConfig(num_taps=65), sps=4, tx_len=11, rx_len=41,
+             num_symbols=2_000, seed=1, n=2.0)
+    def test_runs_with_finite_outputs_and_no_warning(self, distance_km, attenuation,
+                                                     dac, adc, lpf, sps, tx_len,
+                                                     rx_len, num_symbols, seed, n):
+        # a link that constructs runs, with and without reports: the
+        # blocks drawn keep the estimator's pairs past every transient
+        try:
+            cfg = LinkConfig(distance_km=distance_km, attenuation_db_per_km=attenuation,
+                             dac=dac and QuantizerSpec(*dac), adc=adc and QuantizerSpec(*adc),
+                             lpf=lpf, sps=sps, tx_len=tx_len, rx_len=rx_len,
+                             num_symbols=num_symbols, seed=seed)
+        except ValueError:
+            return
+        h_tx, h_rx = baseline_filters(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reports in (False, True):
+                res = run_chain(cfg, h_tx, h_rx, n, reports)
+                est = estimate_parameters(res.tx_symbols, res.rx_symbols)
+                values = [res.isi.c0_sq, res.isi.isi_sum, est.tau_hat, est.n_ex_hat]
+                if reports:
+                    values += [res.dac_report.noise_power, res.dac_report.clip_fraction,
+                               res.adc_report.noise_power, res.adc_report.clip_fraction]
+                assert np.all(np.isfinite(res.rx_symbols))
+                assert np.all(np.isfinite(values))

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from oracles import (reference_clip_fraction, reference_full_scale,
                      reference_noise_power, reference_quantize)
 
-from cvqkdsim.quantization import (_BLOCK, QuantizationReport, QuantizerSpec,
-                                   clip_fraction, convert, full_scale,
+from cvqkdsim.quantization import (_BLOCK, CLIPPING_RANGE, MAX_BITS, QuantizationReport,
+                                   QuantizerSpec, clip_fraction, convert, full_scale,
                                    measure_noise, quantize)
 
 
@@ -91,6 +91,20 @@ class TestQuantize:
         with pytest.raises(ValueError):
             QuantizerSpec(bits=8, clipping_factor=0.0)
 
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(bits=MAX_BITS + 1), dict(bits=1100),
+        dict(bits=10, clipping_factor=1e-300), dict(bits=10, clipping_factor=1e300),
+        dict(bits=10, clipping_factor=np.nextafter(CLIPPING_RANGE[0], 0)),
+        dict(bits=10, clipping_factor=np.nextafter(CLIPPING_RANGE[1], np.inf))],
+        ids=["54_bits", "1100_bits", "kappa_1e-300", "kappa_1e300", "kappa_below",
+             "kappa_above"])
+    def test_spec_refuses_out_of_range(self, kwargs):
+        # each of these used to construct and then fail in a chain
+        with pytest.raises(ValueError, match="bits" if len(kwargs) == 1 else "clipping_factor"):
+            QuantizerSpec(**kwargs)
+        for kappa in CLIPPING_RANGE:  # the ends of the ranges construct
+            QuantizerSpec(bits=MAX_BITS, clipping_factor=kappa)
 
     def test_spec_rejects_nan_clipping_factor(self):
         with pytest.raises(ValueError, match="clipping_factor"):
@@ -204,8 +218,17 @@ class TestNoiseScaling:
         assert 0.0 < frac < 1e-4
 
 
+# the load sums the rail squares in ``_mean_square``'s order and the oracle
+# pairwise over the concatenated rails, so the full scales differ in rounding:
+# at most 2.4e-15 relative on these tests' signals, 16 decades of magnitude
+# included
+FULL_SCALE_RTOL = 1e-12
+
+
 class TestMatchesRailOracle:
-    """The in-place passes give the same bits as the rail-concatenating ones."""
+    """The in-place passes give the same bits as the rail-concatenating ones
+    at the library's own full scale, which matches the oracle's within
+    ``FULL_SCALE_RTOL``."""
 
     @pytest.mark.parametrize("complex_signal", [False, True])
     @pytest.mark.parametrize("n", [1, 7, 1001, 40_003])
@@ -214,7 +237,7 @@ class TestMatchesRailOracle:
         for bits, kappa in ((10, 4.0), (4, 1.5), (1, 0.5)):  # 1.5 and 0.5 clip
             spec = QuantizerSpec(bits=bits, clipping_factor=kappa)
             a = full_scale(sig, spec)
-            assert a == reference_full_scale(sig, kappa)
+            assert a == pytest.approx(reference_full_scale(sig, kappa), rel=FULL_SCALE_RTOL)
             out = quantize(sig, spec, a)
             assert out.dtype == sig.dtype
             assert out.tobytes() == reference_quantize(sig, bits, a).tobytes()
@@ -239,21 +262,23 @@ class TestMatchesRailOracle:
         assert clip_fraction(sig, a) == reference_clip_fraction(sig, a)
 
     @pytest.mark.parametrize("n", [3, 129, 1027, 40_003])
-    def test_full_scale_sums_in_the_same_order(self, n):
+    def test_full_scale_matches_over_16_decades(self, n):
         # magnitudes over 16 decades make the pooled mean depend on the
-        # order and grouping of its additions
+        # order and grouping of its additions, which stays a rounding effect
         rng = np.random.default_rng(n)
         magnitude = 10 ** rng.uniform(-8, 8, n)
         sig = (rng.normal(size=n) + 1j * rng.normal(size=n)) * magnitude
         spec = QuantizerSpec(bits=8)
         for x in (sig, sig.real):
-            assert full_scale(x, spec) == reference_full_scale(x, spec.clipping_factor)
+            assert full_scale(x, spec) == pytest.approx(
+                reference_full_scale(x, spec.clipping_factor), rel=FULL_SCALE_RTOL)
 
     def test_strided_input(self):
         sig = _gaussian_rail(2001, seed=11, complex_signal=True)[::3]
         spec = QuantizerSpec(bits=6)
         a = full_scale(sig, spec)
-        assert a == reference_full_scale(sig, spec.clipping_factor)
+        assert a == pytest.approx(reference_full_scale(sig, spec.clipping_factor),
+                                  rel=FULL_SCALE_RTOL)
         assert np.array_equal(quantize(sig, spec, a), reference_quantize(sig, 6, a))
         assert clip_fraction(sig, a) == reference_clip_fraction(sig, a)
 
@@ -265,7 +290,8 @@ class TestMatchesRailOracle:
         sig = _gaussian_rail(n, sigma=1.3, seed=n, complex_signal=complex_signal)
         for bits, kappa in ((10, 4.0), (4, 1.5), (1, 0.5)):
             spec = QuantizerSpec(bits=bits, clipping_factor=kappa)
-            a = reference_full_scale(sig, kappa)
+            a = full_scale(sig, spec)
+            assert a == pytest.approx(reference_full_scale(sig, kappa), rel=FULL_SCALE_RTOL)
             want = reference_quantize(sig, bits, a)
             kept = sig.copy()
             out, frac = convert(kept, spec)
@@ -309,7 +335,9 @@ class TestMatchesRailOracle:
         before = base.copy()
         spec = QuantizerSpec(bits=6, clipping_factor=2.0)
         sig = base.real[::3]
-        a = reference_full_scale(before.real[::3], 2.0)
+        a = full_scale(sig, spec)
+        assert a == pytest.approx(reference_full_scale(before.real[::3], 2.0),
+                                  rel=FULL_SCALE_RTOL)
         want = reference_quantize(before.real[::3], 6, a)
         out, frac = convert(sig, spec, reports=True)
         assert out.tobytes() == want.tobytes()
@@ -324,7 +352,8 @@ class TestMatchesRailOracle:
             with pytest.raises(ValueError, match="contiguous complex128"):
                 convert(refused, spec, reports=True)
             out, frac = convert(refused, spec)
-            a = reference_full_scale(kept, 2.0)
+            a = full_scale(kept, spec)
+            assert a == pytest.approx(reference_full_scale(kept, 2.0), rel=FULL_SCALE_RTOL)
             assert np.array_equal(out, reference_quantize(kept, 6, a)) and frac is None
             assert refused.tobytes() == kept.tobytes()
 
