@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .experiments import (BudgetError, load_records, report, run_sweep,
-                          save_records, write_trace_csv)
+from .experiments import (BudgetError, report, run_sweep, save_records,
+                          write_trace_csv)
 from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
 from .link import (assemble_budget, baseline_filters, estimate_parameters,
                    run_chain)
@@ -88,7 +88,7 @@ def _cmd_defaults(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = load_records(args.records)
+    records = cfg.load_records(args.records)
     paths = report(records, args.out_dir)
     print(json.dumps({"files": [str(p) for p in paths]}, indent=2))
     return EXIT_OK
@@ -133,6 +133,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise cfg.ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

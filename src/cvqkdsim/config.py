@@ -12,7 +12,8 @@ import types
 import typing
 from pathlib import Path
 
-from .experiments import ReferencePoint, SweepSpec, _check_spec
+from .experiments import (CSV_SCHEMAS, SWEEP_KINDS, ReferencePoint, RunRecord,
+                          SweepSpec, _check_spec)
 from .link import LinkConfig, LpfConfig, transient_margin
 from .quantization import QuantizerSpec
 from .reinforce import GroupSigmas, OptimizerConfig
@@ -67,6 +68,8 @@ def _convert(value, hint, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
+    if hint is dict and not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
     return value
 
 
@@ -131,6 +134,25 @@ def load_optimize_run(path: str | Path) -> OptimizeRun:
     run = dataclass_from_dict(OptimizeRun, load_json(path))
     _check_block(run.env, "env: ")
     return run
+
+
+def load_records(path: str | Path) -> list[RunRecord]:
+    """The ``records.json`` that ``report`` rebuilds its CSVs from: a list
+    of ``RunRecord`` objects, each of a sweep kind and with every column of
+    its kind's CSV in its outputs."""
+    raw = load_json(path)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of records")
+    records = [dataclass_from_dict(RunRecord, entry, f"record {i}")
+               for i, entry in enumerate(raw)]
+    for i, rec in enumerate(records):
+        if rec.kind not in SWEEP_KINDS:
+            raise ConfigError(f"record {i}.kind: unknown sweep kind {rec.kind!r}")
+        for column in CSV_SCHEMAS[rec.kind].split(","):
+            if column != "seed" and column not in rec.outputs:
+                raise ConfigError(f"record {i}.outputs: no {column!r} for the "
+                                  f"{rec.kind} CSV")
+    return records
 
 
 def all_defaults() -> dict:

@@ -4,6 +4,8 @@ Amplitudes are carried in root-photon units throughout: the mean square
 |x|^2 of a transmitted complex symbol equals its mean photon number.
 Signals and symbol blocks are plain numpy arrays; complex signals are
 processed as two independent real rails through real-tapped filters.
+Every filter runs as an overlap-save product with its spectrum, which
+``_tap_spectra`` forms with numpy's transform once per tap vector.
 """
 
 from __future__ import annotations
@@ -88,29 +90,18 @@ def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0) -> np.ndarray:
 
     The (complex) signal runs once through ``decimate``'s overlap-save pass
     at one sample per output, so both rails share one FFT. The filter's
-    spectrum at its frame length (``_tap_spectra``, the inverse transform's
-    1/n folded in) is computed once per tap vector (``_unit_spectrum``), and
-    ``gain`` scales that spectrum's few bins, not the output. A real input
-    gives a real output. The chain calls it for the LPF, with the channel
-    loss sqrt(tau_ch) as the gain; the tx filter runs through
+    memoized spectrum (``_tap_spectra``, the inverse transform's 1/n folded
+    in) is scaled by ``gain`` in its few bins, not in the output. A real
+    input gives a real output. The chain calls it for the LPF, with the
+    channel loss sqrt(tau_ch) as the gain; the tx filter runs through
     ``interpolate`` and the rx filter through ``decimate``.
     """
     sig = np.asarray(sig)
     if len(sig) == 0:
         return np.zeros(0, dtype=complex)
-    spectrum = _unit_spectrum(fir.taps.tobytes()) * gain
+    spectrum = _tap_spectra(fir.taps, 1) * gain
     out = _decimate(sig, spectrum, len(fir), 1, 0, len(sig) + len(fir) - 1)
     return out if np.iscomplexobj(sig) else out.real
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_spectrum(taps: bytes) -> np.ndarray:
-    """``_tap_spectra(taps, 1)`` for the float64 taps in ``taps``, keyed by
-    those bytes: every chain of a config convolves with one LPF design, so
-    its spectrum is computed once. Read-only, since the callers share it."""
-    spectrum = _tap_spectra(np.frombuffer(taps), 1)
-    spectrum.flags.writeable = False
-    return spectrum
 
 
 # interpolate's tap rows shorter than this run through np.convolve, which has
@@ -140,10 +131,10 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     ``ceil((len(taps) - 1) / sps)`` symbols and take one forward FFT, and
     since the spectrum of a zero-stuffed frame is the symbol spectrum
     repeated ``sps`` times, each frame spectrum is tiled ``sps`` times
-    against the whole filter's spectrum at length ``sps*M``, and one
-    inverse FFT gives contiguous outputs. That inverse runs unnormalized
-    (``norm="forward"``): its 1/n is folded into the taps before their
-    transform. The last ``sps - 1`` outputs, past the last symbol's reach,
+    against the whole filter's memoized spectrum at length ``sps*M``
+    (``_tap_spectra``), and one inverse FFT gives contiguous outputs. That
+    inverse runs unnormalized (``norm="forward"``): its 1/n rides in the
+    tap spectrum. The last ``sps - 1`` outputs, past the last symbol's reach,
     are set to exactly zero as in the stuffed convolution, so no FFT
     residue there can reach a converter level.
     The output is complex, as ``upsample`` makes it; a real input's
@@ -175,7 +166,7 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     step = m - overlap  # symbols, and step * sps outputs, per frame
     num_frames = -(-full_len // (step * sps))
     spectra = _frame_spectra(symbols, overlap, num_frames, step, m)
-    tap_spectrum = _real_spectrum(taps / (sps * m), sps * m).reshape(sps, m)
+    tap_spectrum = _tap_spectra(taps, 1, sps * m).reshape(sps, m)
     tiled = (spectra[:, None, :] * tap_spectrum).reshape(num_frames, sps * m)
     del spectra
     out = np.fft.ifft(tiled, axis=-1, out=tiled, norm="forward")[:, overlap * sps:]
@@ -202,9 +193,9 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     ``taps[r::sps]`` and filters the phase row ``sig[start - r + i*sps]``, so
     output k is the sum over r of the rows' convolutions at i = k. Each
     phase row is cut into overlapping frames (overlap-save) that take one
-    batched FFT; the phase spectra are multiplied by their tap spectra
-    (``_tap_spectra``, which carry the inverse transform's 1/n) and summed,
-    and one batched, unnormalized inverse FFT yields the kept samples.
+    batched FFT; the phase spectra are multiplied by their memoized tap
+    spectra (``_tap_spectra``, which carry the inverse transform's 1/n) and
+    summed, and one batched, unnormalized inverse FFT yields the kept samples.
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(sig) + len(taps) - 1`` gives the full
     convolution. Frame f holds phase samples ``f*step`` on, and every frame
@@ -249,19 +240,37 @@ def _decimate(sig: np.ndarray, tap_spectra: np.ndarray, num_taps: int, sps: int,
     return kept_rows.reshape(-1)[:kept]
 
 
-def _tap_spectra(taps: np.ndarray, sps: int) -> np.ndarray:
-    """The ``nfft``-point spectra of the ``sps`` tap rows ``taps[r::sps]``,
-    zero-padded to the longest row, at their frame length ``_frame_len``,
-    each divided by ``nfft``: the overlap-save inverse transforms run
-    unnormalized, so their 1/n rides in these few bins rather than in a
-    pass over the signal. ``nfft`` is a power of two, so the division only
-    shifts exponents and the products come out as with a normalized
-    inverse."""
+def _tap_spectra(taps: np.ndarray, sps: int, nfft: int | None = None) -> np.ndarray:
+    """The ``nfft``-point spectra (``np.fft.fft``) of the ``sps`` tap rows
+    ``taps[r::sps]``, zero-padded to the longest row, each divided by
+    ``nfft``: the overlap-save inverse transforms run unnormalized, so their
+    1/n rides in these few bins rather than in a pass over the signal.
+    ``nfft`` defaults to the rows' frame length ``_frame_len``; it is a
+    power of two, so the division only shifts exponents.
+
+    The one place a filter spectrum is formed. The result is memoized by
+    content (the taps' bytes, ``sps`` and ``nfft``), so every chain of a
+    config transforms each of its filters once, and it is read-only, since
+    the callers share it.
+    """
+    taps = np.ascontiguousarray(taps, dtype=float)
+    if nfft is None:
+        nfft = _frame_len(-(-len(taps) // sps))
+    return _spectra(taps.tobytes(), sps, nfft)
+
+
+@functools.lru_cache(maxsize=16)
+def _spectra(taps: bytes, sps: int, nfft: int) -> np.ndarray:
+    """``_tap_spectra`` of the float64 taps in ``taps``."""
+    taps = np.frombuffer(taps)
     rows = -(-len(taps) // sps)
-    nfft = _frame_len(rows)
     padded = np.zeros(rows * sps)
     np.divide(taps, nfft, out=padded[:len(taps)])
-    return _real_spectrum(padded.reshape(rows, sps).T, nfft)
+    # transformed from C order, so that each row of the result, which
+    # _decimate multiplies its frames by, is contiguous
+    spectra = np.fft.fft(np.ascontiguousarray(padded.reshape(rows, sps).T), nfft)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def _frame_len(rows: int) -> int:
@@ -298,23 +307,6 @@ def _frame_spectra(src: np.ndarray, i0: int, num_frames: int, step: int,
         frames[1 + body, :len(tail)] = tail
     frames[:-1, step:] = frames[1:, :nfft - step]
     return np.fft.fft(frames[:-1], axis=-1, out=frames[:-1])
-
-
-def _real_spectrum(taps: np.ndarray, n: int) -> np.ndarray:
-    """Complex ``n``-point DFT of real ``taps`` along the last axis.
-
-    One real-input transform gives bins ``0 .. n//2``; the rest follow by
-    conjugate symmetry. Every half bin ``j`` is mirrored into ``(n - j) % n``,
-    so the self-mirrored DC (and, for even ``n``, Nyquist) bins are
-    conjugated too: the bits of a real-to-complex pocketfft transform with
-    its second half filled in, which a complex transform of the same real
-    input does not reproduce.
-    """
-    half = np.fft.rfft(taps, n, axis=-1)
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., :half.shape[-1]] = half
-    out[..., -np.arange(half.shape[-1]) % n] = half.conj()
-    return out
 
 
 def rrc_filter(rolloff: float, span_symbols: int, sps: int = 4) -> FirFilter:

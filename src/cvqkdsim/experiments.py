@@ -230,8 +230,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     reference without key raises ``ValueError``, since the gap is undefined.
     The budget and every block's filter transient are checked
     (``_check_spec``) before the first chain runs. ``workers`` is the number
-    of threads each grid point's ``optimize`` runs its episodes on.
+    of threads each grid point's ``optimize`` runs its episodes on, at
+    least 1 even where no point is optimized.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_spec(spec)
     if spec.kind == "photon-scan":
         start = time.perf_counter()
@@ -385,11 +388,6 @@ def save_records(records: list[RunRecord], path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps([_jsonable(asdict(r)) for r in records], indent=2) + "\n")
     return path
-
-
-def load_records(path: str | Path) -> list[RunRecord]:
-    raw = json.loads(Path(path).read_text())
-    return [RunRecord(**entry) for entry in raw]
 
 
 def write_trace_csv(trace, path: str | Path) -> Path:

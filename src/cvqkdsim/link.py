@@ -217,7 +217,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     the symbol spectrum tiled ``sps`` times. The LPF is filtered full-length
     by ``dsp.convolve`` (overlap-save at its 257 taps), with the channel
     loss sqrt(tau_ch) as its gain: the loss scales the LPF's spectrum,
-    which is computed once per LPF design, so no pass over the signal
+    which is computed once per tap vector, so no pass over the signal
     applies it. The rx FIR runs through ``dsp.decimate``, evaluated only at
     the ``num_symbols`` symbol-spaced outputs from the response peak on.
     Each stage's input is released once the next stage has it.

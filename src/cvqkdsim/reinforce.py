@@ -314,8 +314,11 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
 
     With ``workers > 1`` each batch's episodes run on that many threads of
     this process (the chain's transforms and array passes release the
-    GIL); otherwise they run in the calling thread.
+    GIL); otherwise they run in the calling thread. ``workers`` below 1
+    raises ``ValueError``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _, init_chain_seed = _episode_seeds(config.seed, 0, 0)
     try:
         init_params = init.decode()

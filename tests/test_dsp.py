@@ -7,12 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (frequency_response, reference_convolve, reference_decimate,
                      reference_interpolate, reference_symbols)
-from scipy import fft as scipy_fft
 
-from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, _frame_len, _real_spectrum,
-                          convolve, decimate, downsample, generate_symbols,
-                          interpolate, rrc_filter, super_gaussian_lpf, truncate_taps,
-                          truncated_rrc, upsample)
+from cvqkdsim.dsp import (_FFT_MIN_TAPS, FirFilter, convolve, decimate, downsample,
+                          generate_symbols, interpolate, rrc_filter, super_gaussian_lpf,
+                          truncate_taps, truncated_rrc, upsample)
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec, full_scale
 
@@ -188,7 +186,7 @@ class TestConvolve:
         got = convolve(sig, fir, gain)
         assert np.iscomplexobj(got) == complex_signal
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        # the shared unit spectrum is left as it was
+        # the memoized spectrum that every call shares is left as it was
         assert convolve(sig, fir).tobytes() == convolve(sig, fir, 1.0).tobytes()
 
 
@@ -400,26 +398,6 @@ class TestTransforms:
                 assert -(-len(taps) // 4) >= _FFT_MIN_TAPS  # the long-row path
                 out = interpolate(sig, taps, 4)
         assert not np.all(np.isfinite(out))
-
-    @pytest.mark.parametrize("num_taps, sps", [(101, 4), (257, 4), (257, 1)])
-    def test_tap_spectra_are_real_input_transform_bits(self, num_taps, sps):
-        # decimate's (sps, rows) tap rows at their frame length
-        taps = truncated_rrc(num_taps).taps
-        rows = -(-num_taps // sps)
-        padded = np.zeros(rows * sps)
-        padded[:num_taps] = taps
-        polyphase = padded.reshape(rows, sps).T
-        nfft = _frame_len(rows)
-        want = scipy_fft.fft(polyphase, nfft, axis=-1)
-        assert _real_spectrum(polyphase, nfft).tobytes() == want.tobytes()
-
-    def test_long_tx_tap_spectrum_is_real_input_transform_bits(self):
-        # interpolate's 1001-tap spectrum at sps * frame length = 8192
-        taps = truncated_rrc(1001).taps
-        n = 4 * _frame_len(-(-(len(taps) - 1) // 4) + 1)
-        assert n == 8192
-        want = scipy_fft.fft(taps, n)
-        assert _real_spectrum(taps, n).tobytes() == want.tobytes()
 
 
 def _assert_dac_levels_match_oracle_path(config: LinkConfig) -> None:

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments, reinforce
-from cvqkdsim.config import ConfigError, all_defaults, dataclass_from_dict, load_sweep_spec
+from cvqkdsim.config import (ConfigError, all_defaults, dataclass_from_dict, load_records,
+                             load_sweep_spec)
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
-                                  photon_scan, report, run_sweep,
-                                  save_records, load_records)
+                                  photon_scan, report, run_sweep, save_records)
 from cvqkdsim.dsp import FirFilter
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters, transient_margin
 from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizerSpec
@@ -213,6 +213,17 @@ class TestRunSweep:
         for rec in run_sweep(replace(spec, symbol_rate=1e8)):
             assert rec.outputs["skr_bits_per_second"] == \
                 rec.outputs["skr_bits_per_symbol"] * 1e8
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_refuses_workers_below_one(self, workers, monkeypatch):
+        # even an unoptimized sweep, which starts no thread, refuses them
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
+                         mode="unoptimized", photon_grid=[2.0])
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(spec, workers=workers)
 
     @pytest.mark.parametrize("kind,mode,size", [
         ("bits-sweep", "both", 4), ("distance-sweep", "optimized", 3),
@@ -816,6 +827,45 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith(
             "budget refused: sweep would evaluate 3 grid points, over the budget of 1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("records, message", [
+        ([{"kind": "bits-sweep", "bogus": 1}], "record 0: unknown keys ['bogus']"),
+        ({"kind": "x"}, "expected a list of records"),
+        ([{"kind": "bits-sweep", "config": {}, "outputs": {}, "seed": 1,
+           "wall_time_s": 0.1}], "record 0.outputs: no 'bits' for the bits-sweep CSV"),
+        ([{"kind": "x", "config": {}, "outputs": {}, "seed": 1, "wall_time_s": 0.1}],
+         "record 0.kind: unknown sweep kind 'x'"),
+        ([{"kind": "photon-scan", "config": {}, "outputs": [], "seed": 1,
+           "wall_time_s": 0.1}], "record 0.outputs: expected an object"),
+    ], ids=["unknown_key", "not_a_list", "missing_column", "unknown_kind", "outputs_list"])
+    def test_malformed_records_are_config_error(self, tmp_path, capsys, records, message):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(records))
+        out_dir = tmp_path / "out"
+        assert cli.main(["report", "--records", str(path),
+                         "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                command, workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+        monkeypatch.setattr(cli, "optimize", no_run)
+        monkeypatch.setattr(cli, "run_sweep", no_run)
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"env": {"num_symbols": 3000, "tx_len": 11,
+                                           "rx_len": 21}}))
+        flag = "--config" if command == "optimize" else "--spec"
+        assert cli.main([command, flag, str(doc), "--workers", workers,
+                         "--out" if command == "optimize" else "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
         assert not (tmp_path / "out").exists()
 
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import warnings
 from dataclasses import replace
 
@@ -189,27 +190,41 @@ class TestRunChain:
             assert got.noise_power == pytest.approx(ref.noise_power * n / n0,
                                                     rel=1e-9)
 
-    def test_lpf_spectrum_is_computed_once_per_design(self, monkeypatch):
-        # the chain's loss rides in the LPF's spectrum, which two chains of
-        # one config (here on two seeds, as a batch's episodes share the
-        # LPF) take from one read-only computation
-        computed = []
-        tap_spectra = dsp._tap_spectra
+    def test_each_filter_spectrum_is_computed_once(self, monkeypatch):
+        # every filter spectrum comes from dsp._tap_spectra, memoized by the
+        # taps' bytes: two chains of one config (here on two seeds, as a
+        # batch's episodes share the filters) transform the LPF and the rx
+        # filter once each, and two interpolate calls the 1001-tap tx filter
+        # once; the 11-tap tx filter takes no spectrum
+        computed, made = [], []
+        spectra = dsp._spectra.__wrapped__
 
-        def counting(taps, sps):
-            computed.append((len(taps), sps))
-            return tap_spectra(taps, sps)
+        def counting(taps, sps, nfft):
+            computed.append((len(np.frombuffer(taps)), sps))
+            made.append(spectra(taps, sps, nfft))
+            return made[-1]
 
-        monkeypatch.setattr(dsp, "_tap_spectra", counting)
-        dsp._unit_spectrum.cache_clear()
+        monkeypatch.setattr(dsp, "_spectra", functools.lru_cache(
+            **dsp._spectra.cache_parameters())(counting))
         cfg = LinkConfig(distance_km=30.0, num_symbols=5_000, tx_len=11, rx_len=41)
         h_tx, h_rx = baseline_filters(cfg)
         for seed in (1, 2):
             run_chain(replace(cfg, seed=seed), h_tx, h_rx, 3.0)
-        lpf = cfg.lpf_filter()
-        assert computed.count((len(lpf), 1)) == 1
-        assert computed.count((len(h_rx), cfg.sps)) == 4  # rx and ADC error, per chain
-        assert not dsp._unit_spectrum(lpf.taps.tobytes()).flags.writeable
+        assert computed == [(len(cfg.lpf_filter()), 1), (len(h_rx), cfg.sps)]
+
+        tx = truncated_rrc(1001).taps
+        symbols = dsp.generate_symbols(2_000, 3.0, seed=4)
+        first = dsp.interpolate(symbols, tx, cfg.sps)
+        again = dsp.interpolate(symbols, tx, cfg.sps)
+        assert computed.count((len(tx), 1)) == 1
+        assert again.tobytes() == first.tobytes()
+
+        # a hit is keyed by content, not identity, and gives the first bits
+        spectrum = dsp._tap_spectra(h_rx.taps, cfg.sps)
+        assert dsp._tap_spectra(h_rx.taps.copy(), cfg.sps).tobytes() == \
+            spectrum.tobytes() == made[1].tobytes()
+        assert len(computed) == 3
+        assert not any(a.flags.writeable for a in made)
 
     def test_quantizers_can_be_bypassed(self):
         cfg = LinkConfig(distance_km=10.0, dac=None, adc=None,

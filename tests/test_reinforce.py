@@ -241,6 +241,16 @@ class TestOptimize:
         assert serial.trace == parallel.trace
         assert serial.best_reward == parallel.best_reward
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_refuses_workers_below_one(self, workers, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(reinforce, "chain_reward", no_chain)
+        env = _small_env()
+        cfg = OptimizerConfig(batch_size=4, iterations=1, seed=6)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            optimize(env, _policy(env), cfg, workers=workers)
+
     def test_workers_evaluate_every_episode_in_this_process(self, monkeypatch):
         # a forked worker would record into its own memory, not into pids
         env = _small_env()
