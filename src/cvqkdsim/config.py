@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from pathlib import Path
@@ -59,6 +60,9 @@ def _convert(value, hint, path: str):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        # json reads NaN, Infinity and -Infinity, and integers past any float
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -98,27 +98,11 @@ class RunRecord:
     artifact_version: str = ARTIFACT_VERSION
 
 
-def _evaluate_point(env: LinkConfig, params: TransceiverParams,
-                    beta: float) -> dict:
-    """Chain run + measurement-pipeline key rate for a fixed operating point."""
-    result = run_chain(env, params.h_tx, params.h_rx, params.mean_photon)
-    est = estimate_parameters(result.tx_symbols, result.rx_symbols)
-    inputs = est.key_rate_inputs(params.mean_photon, env.channel_excess_photons, beta)
-    return {
-        "skr_bits_per_symbol": secure_key_rate(inputs),
-        "tau": est.tau_hat,
-        "n_ex": inputs.excess_photons,
-        "mean_photon": params.mean_photon,
-        "isi_sum": result.isi.isi_sum,
-        "c0_sq": result.isi.c0_sq,
-        "dac_noise": result.dac_report.noise_power,
-        "adc_noise": result.adc_report.noise_power,
-    }
-
-
 def _check_photon_grid(grid: list[float]) -> None:
-    if not all(n > 0 for n in grid):
-        raise ValueError("photon grid must be positive")
+    if not grid:
+        raise ValueError("photon grid must not be empty")
+    if not all(0 < n < np.inf for n in grid):
+        raise ValueError("photon grid must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("photon grid must be sorted ascending")
 
@@ -127,16 +111,29 @@ def photon_scan(env: LinkConfig, grid: list[float], h_tx, h_rx,
                 beta: float = DEFAULT_BETA) -> tuple[dict, list[dict]]:
     """Evaluate the key rate over a photon-number grid with fixed filters.
 
-    Returns the argmax record and the full curve. The grid must be positive
-    and sorted ascending.
+    One chain runs, at the first point n0. The chain is homogeneous in
+    amplitude: both converters load their full scale from the signal, and
+    the filters and the loss are linear. So at n = s * n0 the residual and
+    both converter noises are the first point's times s, while tau_hat,
+    c0_sq and isi_sum stay; each point's rate is the closed form at those.
+    Returns the argmax record and the full curve. The grid must be
+    non-empty, positive, finite and sorted ascending.
     """
-    grid = list(grid)
+    grid = [float(n) for n in grid]
     _check_photon_grid(grid)
+    result = run_chain(env, h_tx, h_rx, grid[0])
+    est = estimate_parameters(result.tx_symbols, result.rx_symbols)
     curve = []
     for n in grid:
-        point = _evaluate_point(env, TransceiverParams(h_tx, h_rx, float(n)), beta)
-        curve.append({"n_photon": float(n),
-                      "skr_bits_per_symbol": point["skr_bits_per_symbol"],
+        s = n / grid[0]
+        inputs = replace(est, n_ex_hat=est.n_ex_hat * s).key_rate_inputs(
+            n, env.channel_excess_photons, beta)
+        point = {"skr_bits_per_symbol": secure_key_rate(inputs), "tau": est.tau_hat,
+                 "n_ex": inputs.excess_photons, "mean_photon": n,
+                 "isi_sum": result.isi.isi_sum, "c0_sq": result.isi.c0_sq,
+                 "dac_noise": result.dac_report.noise_power * s,
+                 "adc_noise": result.adc_report.noise_power * s}
+        curve.append({"n_photon": n, "skr_bits_per_symbol": point["skr_bits_per_symbol"],
                       "detail": point})
     best = max(curve, key=lambda row: row["skr_bits_per_symbol"])
     return best, curve
@@ -150,7 +147,8 @@ def _eval_env(spec: SweepSpec, env: LinkConfig) -> LinkConfig:
 
 def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
                      init: PolicyState, workers: int) -> tuple[dict, PolicyState]:
-    """RL-optimize from ``init`` and re-evaluate contenders at full length.
+    """RL-optimize from ``init`` and score each contender at full length as
+    a one-point ``photon_scan``.
 
     The initial operating point is a contender, so the optimized result
     can never fall below its own starting point at the shared evaluation
@@ -161,7 +159,8 @@ def _optimized_point(env: LinkConfig, eval_env: LinkConfig, spec: SweepSpec,
     scored, errors = [], []
     for name, params in (("optimized", opt.best_params), ("initial", init.decode())):
         try:
-            scored.append((_evaluate_point(eval_env, params, spec.optimizer.beta),
+            scored.append((photon_scan(eval_env, [params.mean_photon], params.h_tx,
+                                       params.h_rx, spec.optimizer.beta)[0]["detail"],
                            params))
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"{name}: {exc}")

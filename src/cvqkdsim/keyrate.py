@@ -30,8 +30,9 @@ class SkrInputs:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if not self.mean_photon > 0:
-            raise ValueError(f"mean_photon must be positive, got {self.mean_photon}")
+        if not 0.0 < self.mean_photon < np.inf:
+            raise ValueError("mean_photon must be positive and finite, "
+                             f"got {self.mean_photon}")
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError(f"transmittance must be in (0, 1], got {self.transmittance}")
         if not self.excess_photons >= 0:

@@ -2,14 +2,17 @@
 
 Everything here goes through generic linear algebra (eigensolvers, matrix
 Schur complements, quadrature) rather than the closed forms under test, or
-is the straightforward form of a signal pass that the package computes a
-faster way.
+is the straightforward form of a signal pass or a scan that the package
+computes a faster way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import signal as _sig
+
+from cvqkdsim.keyrate import secure_key_rate
+from cvqkdsim.link import estimate_parameters, run_chain
 
 # symplectic form for two modes in (qA, pA, qB, pB) ordering
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -222,6 +225,25 @@ def reference_chain_reports(config, h_tx: np.ndarray, h_rx: np.ndarray,
     after_adc, adc_clips = converter(attenuated, config.adc)
     return (reference_noise_power(after_dac, shaped), dac_clips,
             reference_noise_power(rx_filter(after_adc), rx_filter(attenuated)), adc_clips)
+
+
+def reference_photon_scan(env, grid, h_tx, h_rx, beta: float) -> tuple[dict, list[dict]]:
+    """``experiments.photon_scan`` with one chain per grid point: each point's
+    key rate, tau_hat, excess noise and converter noises come from its own
+    chain at that photon number, not from the first point's chain scaled."""
+    curve = []
+    for n in (float(n) for n in grid):
+        result = run_chain(env, h_tx, h_rx, n)
+        est = estimate_parameters(result.tx_symbols, result.rx_symbols)
+        inputs = est.key_rate_inputs(n, env.channel_excess_photons, beta)
+        point = {"skr_bits_per_symbol": secure_key_rate(inputs), "tau": est.tau_hat,
+                 "n_ex": inputs.excess_photons, "mean_photon": n,
+                 "isi_sum": result.isi.isi_sum, "c0_sq": result.isi.c0_sq,
+                 "dac_noise": result.dac_report.noise_power,
+                 "adc_noise": result.adc_report.noise_power}
+        curve.append({"n_photon": n, "skr_bits_per_symbol": point["skr_bits_per_symbol"],
+                      "detail": point})
+    return max(curve, key=lambda row: row["skr_bits_per_symbol"]), curve
 
 
 def mpmath_key_rate(mean_photon: float, tau: float, n_ex: float, beta: float,

@@ -15,10 +15,13 @@ from cvqkdsim.config import (ConfigError, all_defaults, dataclass_from_dict, loa
                              load_sweep_spec)
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep, save_records)
-from cvqkdsim.dsp import FirFilter
+from cvqkdsim.dsp import FirFilter, rrc_filter
+from cvqkdsim.keyrate import DEFAULT_BETA
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters, transient_margin
 from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizerSpec
 from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
+
+from oracles import reference_photon_scan
 
 
 def _tiny_env(**overrides):
@@ -174,9 +177,11 @@ class TestRunSweep:
                                          spec, init, workers=1)
 
     def test_at_most_one_scan_per_grid_point(self, monkeypatch):
+        # counts anchor scans; each optimized contender is a one-point
+        # photon_scan of its own, which does not go through _scan
         calls = []
-        scan = experiments.photon_scan
-        monkeypatch.setattr(experiments, "photon_scan",
+        scan = experiments._scan
+        monkeypatch.setattr(experiments, "_scan",
                             lambda *a, **k: calls.append(1) or scan(*a, **k))
         spec = SweepSpec(kind="bits-sweep", bits=[8, 10], env=_tiny_env(),
                          photon_grid=[1.0, 2.0, 4.0], optimizer=_tiny_optimizer())
@@ -193,6 +198,22 @@ class TestRunSweep:
         for mode in ("unoptimized", "optimized"):
             assert [r.outputs for r in runs["both"] if r.outputs["mode"] == mode] \
                 == [r.outputs for r in runs[mode]]
+
+    @pytest.mark.parametrize("ref_taps,chains", [(31, 2), (41, 3)],
+                             ids=["reference_on_grid", "reference_off_grid"])
+    def test_one_chain_per_grid_point(self, monkeypatch, ref_taps, chains):
+        # a 5-point photon grid, with the reference's own scan when it is
+        # not a grid point
+        calls = []
+        chain = experiments.run_chain
+        monkeypatch.setattr(experiments, "run_chain",
+                            lambda *a, **k: calls.append(1) or chain(*a, **k))
+        spec = SweepSpec(kind="taps-bits-grid", taps=[21, 31], bits=[12],
+                         env=_tiny_env(num_symbols=4_000), mode="unoptimized",
+                         photon_grid=[1.0, 2.0, 3.0, 4.0, 5.0],
+                         reference=ReferencePoint(ref_taps=ref_taps, ref_bits=12))
+        assert len(run_sweep(spec)) == 2
+        assert len(calls) == chains
 
     def test_fixed_photon_anchor_is_a_one_point_scan(self):
         spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
@@ -308,6 +329,68 @@ class TestPhotonScan:
         env = _tiny_env()
         with pytest.raises(ValueError):
             photon_scan(env, [2.0, 1.0], *baseline_filters(env))
+
+    @pytest.mark.parametrize("grid,message", [
+        ([], "must not be empty"), ([1.0, np.inf], "positive and finite"),
+        ([np.nan], "positive and finite")], ids=["empty", "inf", "nan"])
+    def test_rejects_empty_or_non_finite_grid(self, monkeypatch, grid, message):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        env = _tiny_env()
+        with pytest.raises(ValueError, match=message):
+            photon_scan(env, grid, *baseline_filters(env))
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_runs_one_chain_for_any_grid_length(self, monkeypatch, size):
+        calls = []
+        chain = experiments.run_chain
+        monkeypatch.setattr(experiments, "run_chain",
+                            lambda *a, **k: calls.append(1) or chain(*a, **k))
+        env = _tiny_env()
+        _, curve = photon_scan(env, [1.0 + k for k in range(size)], *baseline_filters(env))
+        assert len(curve) == size and len(calls) == 1
+
+    @pytest.mark.parametrize("shape", ["criterion5_6bit", "criterion6_11tap_6bit",
+                                       "criterion6_reference", "criterion8b"])
+    def test_matches_one_chain_per_point(self, shape):
+        # The chain is homogeneous in amplitude, so scaling the first point's
+        # chain by n/n0 reproduces each point's own chain up to rounding: x/Delta
+        # at each converter moves by about 2 ulp. The match can fail only where
+        # that flips a quantizer decision, when x/Delta sits within a few ulp
+        # of a level edge. One scan per shape of acceptance criteria 5, 6 and 8.
+        bits6, bits16 = QuantizerSpec(bits=6), QuantizerSpec(bits=16)
+        c6 = dict(distance_km=50.0, channel_excess_photons=1e-3, num_symbols=50_000,
+                  seed=17)
+        grid = list(np.geomspace(0.3, 20.0, 15))
+        if shape == "criterion5_6bit":
+            env = LinkConfig(distance_km=100.0, channel_excess_photons=1e-4, dac=bits6,
+                             adc=bits6, tx_len=11, rx_len=101, num_symbols=50_000, seed=31)
+            grid = list(np.geomspace(0.3, 20.0, 21))
+        elif shape == "criterion6_11tap_6bit":
+            env = LinkConfig(**c6, dac=bits6, adc=bits6, tx_len=11, rx_len=11)
+        elif shape == "criterion6_reference":
+            env = LinkConfig(**c6, dac=bits16, adc=bits16, tx_len=1001, rx_len=1001)
+        else:
+            env = LinkConfig(distance_km=100.0, dac=bits16, adc=bits16, tx_len=1001,
+                             rx_len=1001, num_symbols=100_000, seed=29)
+            # 1e-3 photons at the channel input
+            env = replace(env, channel_excess_photons=1e-3 * env.channel_transmittance)
+            grid = [float(n) for n in np.geomspace(0.5, 40.0, 33)]
+        filters = (rrc_filter(0.2, 250, env.sps),) * 2 if shape == "criterion8b" \
+            else baseline_filters(env)
+        best, curve = photon_scan(env, grid, *filters)
+        ref_best, ref_curve = reference_photon_scan(env, grid, *filters, DEFAULT_BETA)
+        assert best["n_photon"] == ref_best["n_photon"]
+        for row, ref in zip(curve, ref_curve, strict=True):
+            got, want = row["detail"], ref["detail"]
+            assert got.keys() == want.keys()
+            assert got["skr_bits_per_symbol"] == pytest.approx(
+                want["skr_bits_per_symbol"], rel=1e-9, abs=1e-12)
+            for key in ("tau", "n_ex", "dac_noise", "adc_noise"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+            for key in ("mean_photon", "isi_sum", "c0_sq"):
+                assert got[key] == want[key], key
 
     def test_sweep_kind_emits_schema(self, tmp_path):
         spec = SweepSpec(kind="photon-scan",
@@ -517,7 +600,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,name", [
         ("--beta", "1.5", "beta"), ("--beta", "nan", "beta"),
-        ("--mean-photon", "-1", "mean_photon"), ("--mean-photon", "nan", "mean_photon")])
+        ("--mean-photon", "-1", "mean_photon"), ("--mean-photon", "nan", "mean_photon"),
+        ("--mean-photon", "inf", "mean_photon")])
     def test_bad_simulate_argument_is_config_error(self, tmp_path, capsys,
                                                    flag, value, name):
         # rejected before the config loads, so no chain runs
@@ -592,6 +676,42 @@ class TestCli:
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
+        assert not out.exists()
+
+    # json reads Infinity, so each document is refused when it loads, by the
+    # key that holds it, before any chain runs
+    @pytest.mark.parametrize("command,doc,name", [
+        ("simulate", {"channel_excess_photons": float("inf")}, "channel_excess_photons"),
+        ("sweep", {"kind": "photon-scan", "photon_grid": [1.0, float("inf")]},
+         "photon_grid"),
+        ("optimize", {"mean_photon": float("inf")}, "mean_photon"),
+        ("sweep", {"kind": "photon-scan", "photon_grid": [1.0, 2.0],
+                   "symbol_rate": float("inf")}, "symbol_rate")],
+        ids=["simulate-excess", "sweep-grid", "optimize-photon", "sweep-symbol-rate"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               command, doc, name):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        monkeypatch.setattr(experiments, "run_chain", no_chain)
+        monkeypatch.setattr(reinforce, "run_chain", no_chain)
+        env = {"num_symbols": 3000, "tx_len": 11, "rx_len": 21}
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        if command == "simulate":
+            doc, args = {**env, **doc}, ["simulate", "--config", str(cfg)]
+        elif command == "optimize":
+            doc = {"env": env, "optimizer": {"batch_size": 4, "iterations": 1}, **doc}
+            args = ["optimize", "--config", str(cfg), "--out", str(out)]
+        else:
+            doc = {"env": env, **doc}
+            args = ["sweep", "--spec", str(cfg), "--out-dir", str(out)]
+        cfg.write_text(json.dumps(doc))
+        assert "Infinity" in cfg.read_text()
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and name in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -137,6 +137,8 @@ class TestSecureKeyRate:
             SkrInputs(6.0, 0.5, float("nan"))
         with pytest.raises(ValueError, match="mean_photon"):
             SkrInputs(float("nan"), 0.5, 0.0)
+        with pytest.raises(ValueError, match="mean_photon must be positive and finite"):
+            SkrInputs(float("inf"), 0.5, 0.0)
 
     def test_lossless_noiseless_rate(self):
         rate = secure_key_rate(SkrInputs(6.0, 1.0, 0.0, beta=1.0))
