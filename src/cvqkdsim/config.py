@@ -34,8 +34,9 @@ class OptimizeRun:
     mean_photon: float = 6.0
 
     def __post_init__(self):
-        if not self.mean_photon > 0:
-            raise ValueError(f"mean_photon must be positive, got {self.mean_photon}")
+        if not 0 < self.mean_photon <= sys.float_info.max:
+            raise ValueError(
+                f"mean_photon must be positive and finite, got {self.mean_photon}")
 
 
 def _convert(value, hint, path: str):
@@ -143,7 +144,7 @@ def load_optimize_run(path: str | Path) -> OptimizeRun:
 def load_records(path: str | Path) -> list[RunRecord]:
     """The ``records.json`` that ``report`` rebuilds its CSVs from: a list
     of ``RunRecord`` objects, each of a sweep kind and with every column of
-    its kind's CSV in its outputs."""
+    its kind's CSV in its outputs, each number of them finite."""
     raw = load_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of records")
@@ -153,9 +154,13 @@ def load_records(path: str | Path) -> list[RunRecord]:
         if rec.kind not in SWEEP_KINDS:
             raise ConfigError(f"record {i}.kind: unknown sweep kind {rec.kind!r}")
         for column in CSV_SCHEMAS[rec.kind].split(","):
-            if column != "seed" and column not in rec.outputs:
+            if column == "seed":
+                continue
+            if column not in rec.outputs:
                 raise ConfigError(f"record {i}.outputs: no {column!r} for the "
                                   f"{rec.kind} CSV")
+            if isinstance(rec.outputs[column], float):
+                _convert(rec.outputs[column], float, f"record {i}.outputs.{column}")
     return records
 
 

@@ -63,8 +63,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}; expected one of {SWEEP_KINDS}")
         if self.mode not in ("unoptimized", "optimized", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.symbol_rate is not None and not self.symbol_rate > 0:
-            raise ValueError(f"symbol_rate must be positive, got {self.symbol_rate}")
+        if self.symbol_rate is not None and not 0 < self.symbol_rate < np.inf:
+            raise ValueError(
+                f"symbol_rate must be positive and finite, got {self.symbol_rate}")
         if self.eval_num_symbols is not None and self.eval_num_symbols < 1:
             raise ValueError(f"eval_num_symbols must be >= 1, got {self.eval_num_symbols}")
         if self.photon_grid is None:  # distance sweeps pin the photon number
@@ -343,6 +344,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, kind: str, rows: list[dict]) -> Path:
+    """Write ``rows`` under ``kind``'s fixed schema, one line per row."""
+    header = CSV_SCHEMAS[kind]
+    columns = header.split(",")
+    lines = [header] + [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     """Write one fixed-schema CSV per sweep kind plus a run manifest.
 
@@ -359,15 +369,8 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
         by_kind.setdefault(rec.kind, []).append(rec)
 
     for kind, rows in by_kind.items():
-        header = CSV_SCHEMAS[kind]
-        columns = header.split(",")
-        path = out / f"{kind}.csv"
-        lines = [header]
-        for rec in rows:
-            values = {**rec.outputs, "seed": rec.seed}
-            lines.append(",".join(_fmt(values[c]) for c in columns))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write_csv(out / f"{kind}.csv", kind,
+                                  [{**rec.outputs, "seed": rec.seed} for rec in rows]))
 
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -391,11 +394,4 @@ def save_records(records: list[RunRecord], path: str | Path) -> Path:
 
 def write_trace_csv(trace, path: str | Path) -> Path:
     """Write an optimizer trace with the fixed trace schema."""
-    path = Path(path)
-    header = CSV_SCHEMAS["trace"]
-    lines = [header]
-    for row in trace:
-        lines.append(",".join(_fmt(getattr(row, col))
-                              for col in header.split(",")))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(Path(path), "trace", [asdict(row) for row in trace])

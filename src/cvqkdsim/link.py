@@ -74,8 +74,8 @@ class LinkConfig:
                 f"{self.distance_km * self.attenuation_db_per_km:g} dB, whose "
                 f"transmittance {self.channel_transmittance:g} is below the "
                 f"smallest normal float ({MIN_TRANSMITTANCE:g})")
-        if not self.channel_excess_photons >= 0:
-            raise ValueError("channel_excess_photons must be >= 0")
+        if not 0 <= self.channel_excess_photons < np.inf:
+            raise ValueError("channel_excess_photons must be >= 0 and finite")
         if self.tx_len < 1 or self.rx_len < 1:
             raise ValueError("filter lengths must be >= 1")
         if self.sps < 1:

@@ -7,7 +7,7 @@ Rewards come from running the chain and never from differentiating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -37,9 +37,7 @@ class GroupSigmas:
     n: float = 0.10
 
     def decayed(self, factor: float, floor: float) -> "GroupSigmas":
-        return GroupSigmas(tx=max(self.tx * factor, floor),
-                           rx=max(self.rx * factor, floor),
-                           n=max(self.n * factor, floor))
+        return GroupSigmas(*(max(s * factor, floor) for s in astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -138,13 +136,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        rates, sigmas = self.learning_rate, self.sigma_init
-        if not all(x > 0 for x in (rates.tx, rates.rx, rates.n)):
-            raise ValueError("learning_rate must be positive")
-        if not all(x > 0 for x in (sigmas.tx, sigmas.rx, sigmas.n)):
-            raise ValueError("sigma_init must be positive")
-        if not self.sigma_floor >= 0:
-            raise ValueError("sigma_floor must be >= 0")
+        for name in ("learning_rate", "sigma_init"):
+            if not all(0 < x < np.inf for x in astuple(getattr(self, name))):
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.sigma_floor < np.inf:
+            raise ValueError("sigma_floor must be >= 0 and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not 0.0 < self.sigma_decay <= 1.0:
@@ -204,23 +200,37 @@ def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
 
     ``episode_seed`` drives the parameter perturbation and ``chain_seed``
     the chain's symbols (the optimizer loop passes one derived seed shared
-    by the whole batch). Chain failures
-    become episodes with an error flag, so that a non-physical sample cannot
-    abort the optimizer; ``reinforce_update`` ranks them below every valid
-    episode of their batch.
+    by the whole batch). Chain failures become episodes with an error flag,
+    so that a non-physical sample cannot abort the optimizer;
+    ``reinforce_update`` ranks them below every valid episode of their batch.
     """
     rng = np.random.default_rng(episode_seed)
     raw_tx = policy.theta_tx + policy.sigma.tx * rng.standard_normal(len(policy.theta_tx))
     raw_rx = policy.theta_rx + policy.sigma.rx * rng.standard_normal(len(policy.theta_rx))
     raw_log_n = policy.theta_log_n + policy.sigma.n * rng.standard_normal()
+    return _evaluate(raw_tx, raw_rx, raw_log_n, env, chain_seed, config.beta)
+
+
+def _evaluate(raw_tx: np.ndarray, raw_rx: np.ndarray, raw_log_n: float,
+              env: LinkConfig, chain_seed: int, beta: float) -> Episode:
+    """Decode one raw parameter vector and score it; a chain failure
+    becomes an episode with ``error`` set and no ``params``."""
     try:
         params = _decode(raw_tx, raw_rx, raw_log_n)
-        reward = chain_reward(env, params, chain_seed, beta=config.beta)
+        reward = chain_reward(env, params, chain_seed, beta=beta)
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
                        params=params, reward=reward)
     except (ValueError, ArithmeticError) as exc:
         return Episode(raw_tx=raw_tx, raw_rx=raw_rx, raw_log_n=raw_log_n,
                        params=None, reward=0.0, error=str(exc))
+
+
+def _next_baseline(baseline: float | None, rewards: np.ndarray) -> float:
+    """The moving average of batch-mean rewards; the first batch sets it."""
+    mean = float(rewards.mean())
+    if baseline is None:
+        return mean
+    return BASELINE_DECAY * baseline + (1.0 - BASELINE_DECAY) * mean
 
 
 def score_function_step(theta: np.ndarray, samples: np.ndarray,
@@ -266,37 +276,24 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
     baseline = float(rewards.mean()) if policy.baseline is None else policy.baseline
 
     spread = float(rewards.std())
-    scale = {"tx": policy.sigma.tx**2 / spread,
-             "rx": policy.sigma.rx**2 / spread,
-             "n": policy.sigma.n**2 / spread} if spread > 0 else \
-            {"tx": 0.0, "rx": 0.0, "n": 0.0}
-
-    theta_tx = score_function_step(
-        policy.theta_tx, np.stack([ep.raw_tx for ep in batch]), rewards,
-        baseline, policy.sigma.tx, config.learning_rate.tx * scale["tx"])
-    theta_rx = score_function_step(
-        policy.theta_rx, np.stack([ep.raw_rx for ep in batch]), rewards,
-        baseline, policy.sigma.rx, config.learning_rate.rx * scale["rx"])
-    theta_log_n = float(score_function_step(
-        np.array([policy.theta_log_n]),
-        np.array([[ep.raw_log_n] for ep in batch]), rewards,
-        baseline, policy.sigma.n, config.learning_rate.n * scale["n"])[0])
-
-    theta_tx = theta_tx / np.linalg.norm(theta_tx)
-    theta_rx = theta_rx / np.linalg.norm(theta_rx)
-
-    new_baseline = (float(rewards.mean()) if policy.baseline is None
-                    else BASELINE_DECAY * policy.baseline
-                    + (1.0 - BASELINE_DECAY) * float(rewards.mean()))
+    # one step per group, in GroupSigmas order: tx taps, rx taps, log n
+    groups = zip((policy.theta_tx, policy.theta_rx, [policy.theta_log_n]),
+                 zip(*[(ep.raw_tx, ep.raw_rx, [ep.raw_log_n]) for ep in batch]),
+                 astuple(policy.sigma), astuple(config.learning_rate))
+    theta_tx, theta_rx, theta_n = (
+        score_function_step(theta, np.array(samples), rewards, baseline, s,
+                            rate * (s**2 / spread if spread > 0 else 0.0))
+        for theta, samples, s, rate in groups)
 
     best_params, best_reward = policy.best_params, policy.best_reward
     for ep in batch:
         if ep.params is not None and ep.reward > best_reward:
             best_params, best_reward = ep.params, ep.reward
 
-    return PolicyState(theta_tx=theta_tx, theta_rx=theta_rx,
-                       theta_log_n=theta_log_n, sigma=sigma,
-                       baseline=new_baseline,
+    return PolicyState(theta_tx=theta_tx / np.linalg.norm(theta_tx),
+                       theta_rx=theta_rx / np.linalg.norm(theta_rx),
+                       theta_log_n=float(theta_n[0]), sigma=sigma,
+                       baseline=_next_baseline(policy.baseline, rewards),
                        best_params=best_params, best_reward=best_reward)
 
 
@@ -319,15 +316,10 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _, init_chain_seed = _episode_seeds(config.seed, 0, 0)
-    try:
-        init_params = init.decode()
-        init_reward = chain_reward(env, init_params, init_chain_seed,
-                                   beta=config.beta)
-        policy = replace(init, best_params=init_params, best_reward=init_reward)
-    except (ValueError, ArithmeticError) as exc:
-        init_error = str(exc)
-        policy = replace(init, best_params=None, best_reward=-np.inf)
+    start = _evaluate(init.theta_tx, init.theta_rx, init.theta_log_n, env,
+                      _episode_seeds(config.seed, 0, 0)[1], config.beta)
+    policy = replace(init, best_params=start.params,
+                     best_reward=-np.inf if start.params is None else start.reward)
 
     trace: list[TraceRow] = []
     pool = None
@@ -359,7 +351,7 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
 
     if policy.best_params is None:
         raise ValueError("no valid reward from the start or any episode; "
-                         f"the start failed with: {init_error}")
+                         f"the start failed with: {start.error}")
     return OptimizeResult(policy=policy, best_params=policy.best_params,
                           best_reward=policy.best_reward, trace=trace)
 
@@ -386,9 +378,7 @@ def reinforce_search(reward_fn, theta0: np.ndarray, iterations: int = 500,
         b = float(rewards.mean()) if baseline is None else baseline
         theta = score_function_step(theta, samples, rewards, b, sigma,
                                     learning_rate)
-        baseline = (float(rewards.mean()) if baseline is None
-                    else BASELINE_DECAY * baseline
-                    + (1.0 - BASELINE_DECAY) * float(rewards.mean()))
+        baseline = _next_baseline(baseline, rewards)
         best = max(best, float(rewards.max()))
         best_trace.append(best)
         sigma = max(sigma * sigma_decay, sigma_floor)

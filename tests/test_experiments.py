@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import cli, experiments, reinforce
-from cvqkdsim.config import (ConfigError, all_defaults, dataclass_from_dict, load_records,
-                             load_sweep_spec)
+from cvqkdsim.config import (ConfigError, OptimizeRun, all_defaults, dataclass_from_dict,
+                             load_records, load_sweep_spec)
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
                                   photon_scan, report, run_sweep, save_records)
 from cvqkdsim.dsp import FirFilter, rrc_filter
@@ -714,6 +714,28 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    # the Python API refuses what the loader refuses, when the object is built
+    @pytest.mark.parametrize("cls,fields,message", [
+        (LinkConfig, {"channel_excess_photons": float("inf")},
+         "channel_excess_photons must be >= 0 and finite"),
+        (SweepSpec, {"kind": "photon-scan", "photon_grid": [1.0, 2.0],
+                     "symbol_rate": float("inf")},
+         "symbol_rate must be positive and finite, got inf"),
+        (OptimizeRun, {"mean_photon": float("inf")},
+         "mean_photon must be positive and finite, got inf"),
+        (OptimizerConfig, {"learning_rate": GroupRates(n=float("inf"))},
+         "learning_rate must be positive and finite"),
+        (OptimizerConfig, {"sigma_init": GroupSigmas(tx=float("inf"))},
+         "sigma_init must be positive and finite"),
+        (OptimizerConfig, {"sigma_floor": float("inf")},
+         "sigma_floor must be >= 0 and finite")],
+        ids=["link-excess", "sweep-symbol-rate", "optimize-photon",
+             "optimizer-rate", "optimizer-sigma", "optimizer-floor"])
+    def test_non_finite_number_is_refused_by_the_constructor(self, cls, fields,
+                                                             message):
+        with pytest.raises(ValueError, match=message):
+            cls(**fields)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"distance_km": 20.0, "unknown_field": 1}))
@@ -958,7 +980,15 @@ class TestCli:
          "record 0.kind: unknown sweep kind 'x'"),
         ([{"kind": "photon-scan", "config": {}, "outputs": [], "seed": 1,
            "wall_time_s": 0.1}], "record 0.outputs: expected an object"),
-    ], ids=["unknown_key", "not_a_list", "missing_column", "unknown_kind", "outputs_list"])
+        # json writes and reads NaN and Infinity; the CSV would carry nan, inf
+        ([{"kind": "photon-scan", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"n_photon": 1.0, "skr_bits_per_symbol": float("nan")}}],
+         "record 0.outputs.skr_bits_per_symbol: expected a finite number, got nan"),
+        ([{"kind": "photon-scan", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"n_photon": float("inf"), "skr_bits_per_symbol": 0.5}}],
+         "record 0.outputs.n_photon: expected a finite number, got inf"),
+    ], ids=["unknown_key", "not_a_list", "missing_column", "unknown_kind", "outputs_list",
+            "NaN", "Infinity"])
     def test_malformed_records_are_config_error(self, tmp_path, capsys, records, message):
         path = tmp_path / "records.json"
         path.write_text(json.dumps(records))

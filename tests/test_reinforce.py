@@ -315,8 +315,14 @@ class TestOptimize:
     def test_failing_start_without_valid_episode_raises(self):
         env = _small_env()
         policy = _policy(env, mean_photon=1e300, sigma=GroupSigmas(n=1e-3))
-        with pytest.raises(ValueError, match="no valid reward"):
-            optimize(env, policy, OptimizerConfig(batch_size=4, iterations=1))
+        cfg = OptimizerConfig(batch_size=4, iterations=1)
+        # the start's own chain error, at the chain seed of iteration 0
+        with pytest.raises(ArithmeticError) as start:
+            chain_reward(env, policy.decode(),
+                         chain_seed=reinforce._episode_seeds(cfg.seed, 0, 0)[1])
+        with pytest.raises(ValueError, match="no valid reward") as raised:
+            optimize(env, policy, cfg)
+        assert str(raised.value).endswith(f"the start failed with: {start.value}")
 
     def test_reduces_isi_from_truncated_start(self):
         # quantization disabled, short transmitter: the learned pair must
