@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 budget refusal,
-4 runtime/numerical error.
+4 runtime/numerical error or out of memory.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

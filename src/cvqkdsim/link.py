@@ -15,7 +15,7 @@ import numpy as np
 from . import dsp
 from .dsp import FirFilter
 from .keyrate import DEFAULT_BETA, SkrInputs
-from .quantization import QuantizationReport, QuantizerSpec, _mean_square, convert
+from .quantization import QuantizationReport, QuantizerSpec, _mean_square, _rail_dot, convert
 # looked up here by perfbench/tracing.py only; the chain calls ``convert``
 # and takes its noise figures with ``_mean_square`` (ROADMAP item 3)
 from .quantization import clip_fraction, full_scale, measure_noise, quantize  # noqa: F401
@@ -283,19 +283,18 @@ def estimate_parameters(tx_symbols: np.ndarray,
                         rx_symbols: np.ndarray) -> ParameterEstimate:
     """Infer (tau, n_ex) from aligned transmitted/received symbol pairs.
 
-    sqrt(tau) is the real least-squares gain Re<y, x> / <x, x>; the excess
-    noise estimate is the residual power E|y - sqrt(tau) x|^2 in photon
-    numbers at the receiver plane, by ``_mean_square`` as for the converter
-    noise. Against ``mean(abs(residual) ** 2)`` it moves ``n_ex_hat`` only
+    sqrt(tau) is the real least-squares gain Re<y, x> / <x, x> and the excess
+    noise estimate the residual power E|y - sqrt(tau) x|^2 in photon numbers
+    at the receiver plane, all sums by ``_rail_dot``, which stays off threaded
+    BLAS. Against ``mean(abs(residual) ** 2)`` that moves ``n_ex_hat`` only
     in rounding (at most 1e-14 relative).
     """
-    tx = np.asarray(tx_symbols)
-    rx = np.asarray(rx_symbols)
+    tx, rx = np.asarray(tx_symbols, dtype=complex), np.asarray(rx_symbols, dtype=complex)
     if len(tx) != len(rx):
         raise ValueError(f"length mismatch: {len(tx)} vs {len(rx)}")
     if len(tx) < MIN_SYMBOL_PAIRS:
         raise ValueError(f"need at least {MIN_SYMBOL_PAIRS} symbol pairs, got {len(tx)}")
-    gain = float(np.real(np.vdot(tx, rx)) / np.real(np.vdot(tx, tx)))
+    gain = _rail_dot(tx, rx) / _rail_dot(tx, tx)
     return ParameterEstimate(tau_hat=gain * gain, n_ex_hat=_mean_square(rx - gain * tx))
 
 

@@ -191,9 +191,12 @@ def measure_noise(quantized: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _mean_square(sig: np.ndarray) -> float:
-    """E|x|^2 per sample with both rails summed, in one pass over the float
-    rails (``einsum``, which stays off threaded BLAS). Each converter's
-    full-scale load, the chain's DAC and ADC noise and the estimate's
-    residual power are all taken here."""
-    rails = _rails(sig)
-    return float(np.einsum("i,i->", rails, rails)) / len(sig)
+    """E|x|^2 per sample with both rails summed, by ``_rail_dot``: the
+    converters' full-scale loads and noise, and the estimate's residual."""
+    return _rail_dot(sig, sig) / len(sig)
+
+
+def _rail_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re<x, y> in one ``einsum`` pass over the float rails: off threaded
+    BLAS, so its bits do not depend on the thread count."""
+    return float(np.einsum("i,i->", _rails(x), _rails(y)))

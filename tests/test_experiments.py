@@ -1018,6 +1018,31 @@ class TestCli:
         assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
         assert not (tmp_path / "out").exists()
 
+    # a block too large to allocate is a runtime error naming the command,
+    # not a traceback; the command's entry raises, so nothing is allocated
+    @pytest.mark.parametrize("command,entry", [
+        ("simulate", "run_chain"), ("optimize", "optimize"), ("sweep", "run_sweep")])
+    def test_memory_error_is_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                           command, entry):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 PiB")
+        monkeypatch.setattr(cli, entry, out_of_memory)
+        env = {"num_symbols": 3000, "tx_len": 11, "rx_len": 21}
+        doc, out = tmp_path / "doc.json", tmp_path / "out"
+        if command == "simulate":
+            doc.write_text(json.dumps(env))
+            args = ["simulate", "--config", str(doc)]
+        else:
+            doc.write_text(json.dumps({"env": env}))
+            args = [command, "--config" if command == "optimize" else "--spec", str(doc),
+                    "--out" if command == "optimize" else "--out-dir", str(out)]
+        assert cli.main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {command} ran out of memory: "
+                                "Unable to allocate 14.6 PiB\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sweep_and_report_round_trip(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({

@@ -213,6 +213,13 @@ class TestMonotoneProperties:
     @given(log_n=st.floats(-2.0, 8.0), tau=st.floats(1e-4, 1.0),
            n_ex=st.floats(0.0, 0.5), more=st.floats(1e-9, 0.5),
            beta=st.floats(0.5, 1.0))
+    # the strategy's corners, whatever constants hypothesis mines: the
+    # largest photon number at tau next to 1 and at the least tau, the
+    # least photon number at both, and the widest noise step
+    @example(log_n=8.0, tau=1.0 - 2.0**-53, n_ex=0.0, more=1e-9, beta=1.0)
+    @example(log_n=-2.0, tau=1e-4, n_ex=0.5, more=0.5, beta=0.5)
+    @example(log_n=8.0, tau=1e-4, n_ex=0.0, more=1e-9, beta=0.5)
+    @example(log_n=-2.0, tau=1.0 - 2.0**-53, n_ex=0.0, more=1e-9, beta=1.0)
     def test_rate_does_not_rise_with_excess_noise(self, log_n, tau, n_ex, more, beta):
         n = 10.0 ** log_n
         low = devetak_winter_rate(SkrInputs(n, tau, n_ex, beta))

@@ -371,6 +371,14 @@ class TestEstimateParameters:
         assert est.tau_hat == pytest.approx(0.01, rel=0.01)
         assert est.n_ex_hat == pytest.approx(1e-3, rel=0.05)
 
+    def test_real_and_complex_symbols_mix(self):
+        # the sums run over float rails, so real symbols count as complex
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=2000)
+        est = estimate_parameters(x, 0.5 * x + 1e-3j * rng.normal(size=2000))
+        assert est.tau_hat == pytest.approx(0.25, rel=1e-12)
+        assert est.n_ex_hat == pytest.approx(1e-6, rel=0.1)
+
     def test_negative_raw_estimate_is_clipped_for_reward(self):
         est = type(estimate_parameters(np.ones(1000) + 0j, np.ones(1000) + 0j))(
             tau_hat=0.5, n_ex_hat=-1e-9)

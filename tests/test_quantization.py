@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (reference_clip_fraction, reference_full_scale,
@@ -20,6 +20,24 @@ def _gaussian_rail(n, sigma=1.0, seed=0, complex_signal=False):
         scale = sigma / np.sqrt(2)
         return rng.normal(0, scale, n) + 1j * rng.normal(0, scale, n)
     return rng.normal(0, sigma, n)
+
+
+def _examples(*cases):
+    """Each case as an explicit hypothesis ``@example`` of the test."""
+    def add(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return add
+
+
+# the idempotence strategy's edges, whatever constants hypothesis mines: bits
+# 1 and 16, both ends of the full scale, rails all clipped (at +/-3 A) or all
+# zero, real and complex
+_IDEMPOTENT_EDGES = [dict(bits=bits, full=full, rails=rails, complex_signal=complex_signal)
+                     for bits in (1, 16) for full in (1e-6, 1e6)
+                     for rails in (np.array([[3.0, -3.0], [-3.0, 3.0]]), np.zeros((2, 2)))
+                     for complex_signal in (False, True)]
 
 
 class TestQuantize:
@@ -116,6 +134,7 @@ class TestQuantize:
            rails=arrays(float, st.tuples(st.integers(1, 64), st.just(2)),
                         elements=st.floats(-3.0, 3.0)),
            complex_signal=st.booleans())
+    @_examples(*_IDEMPOTENT_EDGES)
     def test_idempotent_on_frozen_full_scale(self, bits, full, rails,
                                              complex_signal):
         # a level (k + 1/2) * Delta maps back to itself, byte for byte;
