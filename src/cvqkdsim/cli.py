@@ -17,7 +17,7 @@ from .experiments import (BudgetError, report, run_sweep, save_records,
 from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
 from .link import (assemble_budget, baseline_filters, estimate_parameters,
                    run_chain)
-from .reinforce import PolicyState, TransceiverParams, optimize
+from .reinforce import PolicyState, TransceiverParams, _check_workers, optimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,8 +133,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise cfg.ConfigError(f"--workers must be >= 1, got {args.workers}")
+        try:
+            _check_workers(getattr(args, "workers", 1), "--workers")
+        except ValueError as exc:
+            raise cfg.ConfigError(str(exc)) from None
         return args.func(args)
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

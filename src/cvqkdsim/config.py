@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .experiments import (CSV_SCHEMAS, SWEEP_KINDS, ReferencePoint, RunRecord,
                           SweepSpec, _check_spec)
-from .link import LinkConfig, LpfConfig, transient_margin
+from .link import BudgetError, LinkConfig, LpfConfig, chain_bytes, transient_margin
 from .quantization import QuantizerSpec
 from .reinforce import GroupSigmas, OptimizerConfig
 
@@ -108,9 +108,14 @@ def load_json(path: str | Path) -> dict:
 
 
 def _check_block(env: LinkConfig, path: str = "") -> None:
-    """Refuse a block too short for ``env``'s own filters (``transient_margin``)."""
+    """Refuse a block over the per-chain budget (``chain_bytes``,
+    ``BudgetError``) or too short for ``env``'s own filters
+    (``transient_margin``, ``ConfigError``)."""
     try:
+        chain_bytes(env, env.tx_len, env.rx_len)
         transient_margin(env, env.tx_len, env.rx_len)
+    except BudgetError as exc:
+        raise BudgetError(f"{path}{exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}{exc}") from None
 
@@ -124,8 +129,9 @@ def load_link_config(path: str | Path) -> LinkConfig:
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Load a sweep spec, checked before any chain runs: a grid over
-    ``max_points`` raises ``BudgetError``, and a block too short for a
-    filter transient (``transient_margin``) is a config error."""
+    ``max_points`` or a block over the per-chain budget (``chain_bytes``)
+    raises ``BudgetError``, and a block too short for a filter transient
+    (``transient_margin``) is a config error."""
     spec = dataclass_from_dict(SweepSpec, load_json(path))
     try:
         _check_spec(spec)

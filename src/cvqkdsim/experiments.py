@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from .keyrate import DEFAULT_BETA, secure_key_rate
-from .link import (LinkConfig, baseline_filters, estimate_parameters, run_chain,
-                   transient_margin)
+from .link import (BudgetError, LinkConfig, baseline_filters, chain_bytes,
+                   estimate_parameters, run_chain, transient_margin)
 from .quantization import QuantizerSpec
 from .reinforce import (OptimizerConfig, PolicyState, TransceiverParams,
-                        optimize)
+                        _check_workers, optimize)
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -29,10 +29,6 @@ CSV_SCHEMAS = {
     "photon-scan": "n_photon,skr_bits_per_symbol",
     "trace": "iteration,mean_reward,best_reward,sigma_tx,sigma_rx,sigma_n",
 }
-
-
-class BudgetError(RuntimeError):
-    """Raised when a sweep would exceed its configured evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -188,14 +184,15 @@ def _reference_env(spec: SweepSpec) -> LinkConfig:
 
 
 def _check_spec(spec: SweepSpec) -> None:
-    """Raise ``BudgetError`` when the grid exceeds ``max_points``, and
-    ``ValueError`` when a block the sweep runs is too short.
+    """Raise ``BudgetError`` when the grid exceeds ``max_points`` or a block
+    the sweep runs exceeds the per-chain budget, and ``ValueError`` when a
+    block is too short.
 
     The grid points, the taps-bits reference and a photon scan's link are
     built at the evaluation block, which runs ``LinkConfig``'s own checks,
-    and checked against ``transient_margin``; the grid points also at
-    ``env.num_symbols`` when the sweep optimizes, since the optimizer's
-    chains run there.
+    and checked against ``chain_bytes`` and ``transient_margin``; the grid
+    points also at ``env.num_symbols`` when the sweep optimizes, since the
+    optimizer's chains run there.
     """
     size = spec.grid_size()
     if size > spec.max_points:
@@ -214,9 +211,10 @@ def _check_spec(spec: SweepSpec) -> None:
         checks.append(("photon scan", _eval_env(spec, spec.env)))
     for name, block in checks:
         try:
+            chain_bytes(block, block.tx_len, block.rx_len)
             transient_margin(block, block.tx_len, block.rx_len)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        except (BudgetError, ValueError) as exc:
+            raise type(exc)(f"{name}: {exc}") from None
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
@@ -230,11 +228,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     reference without key raises ``ValueError``, since the gap is undefined.
     The budget and every block's filter transient are checked
     (``_check_spec``) before the first chain runs. ``workers`` is the number
-    of threads each grid point's ``optimize`` runs its episodes on, at
-    least 1 even where no point is optimized.
+    of threads each grid point's ``optimize`` runs its episodes on, from 1
+    to ``MAX_WORKERS`` even where no point is optimized.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     _check_spec(spec)
     if spec.kind == "photon-scan":
         start = time.perf_counter()

@@ -26,6 +26,14 @@ MIN_SYMBOL_PAIRS = 1000
 # the smallest normal float64, the least channel transmittance a link takes
 MIN_TRANSMITTANCE = float(np.finfo(float).tiny)
 
+# the most bytes one chain's live arrays may take at their peak
+# (``chain_bytes``), and the most multiply-adds of ``effective_response``
+MAX_CHAIN_BYTES = 1 << 32
+
+
+class BudgetError(RuntimeError):
+    """Raised when a sweep or a chain would exceed its evaluation budget."""
+
 
 @dataclass(frozen=True)
 class LpfConfig:
@@ -201,6 +209,37 @@ def transient_margin(config: LinkConfig, tx_len: int, rx_len: int) -> int:
             f"transient ({margin} symbols per edge): it keeps {max(kept, 0)} "
             f"symbols, and the estimate needs at least {MIN_SYMBOL_PAIRS}")
     return margin
+
+
+def chain_bytes(config: LinkConfig, tx_len: int, rx_len: int) -> int:
+    """An upper bound on the bytes of a chain's live arrays at their peak.
+
+    The bound is 52 bytes per sample at the sample and at the symbol rate,
+    plus 1024 (64 complex values) per tx, rx and LPF tap: an overlap-save
+    pass holds its filter's spectrum and whole spare frames of up to 11.3x
+    a tap row. ``tracemalloc`` peaks of ``run_chain`` with reports reach
+    78-96% of it at 50k-1M symbols (1 to 64 samples per symbol, 11 to 1001
+    taps), and 27-84% on the shortest blocks the filter transient admits
+    for up to 11,601 taps. Raises ``BudgetError`` when it exceeds
+    ``MAX_CHAIN_BYTES``, or when ``effective_response``'s direct
+    convolutions take more multiply-adds than ``MAX_CHAIN_BYTES``; at about
+    0.16 ns each, those stay under a second.
+    """
+    taps = tx_len + rx_len + config.lpf.num_taps
+    live = 52 * config.num_symbols * (config.sps + 1) + 1024 * taps
+    if live > MAX_CHAIN_BYTES:
+        raise BudgetError(
+            f"num_symbols={config.num_symbols} at sps={config.sps} with {tx_len}/"
+            f"{rx_len}/{config.lpf.num_taps} tx/rx/LPF taps needs about "
+            f"{-(-live // 2**20)} MiB of arrays per chain, over the budget of "
+            f"{MAX_CHAIN_BYTES // 2**20} MiB")
+    macs = tx_len * rx_len + (tx_len + rx_len - 1) * config.lpf.num_taps
+    if macs > MAX_CHAIN_BYTES:
+        raise BudgetError(
+            f"{tx_len}/{rx_len}/{config.lpf.num_taps} tx/rx/LPF taps take {macs} "
+            f"multiply-adds in the effective response, over the budget of "
+            f"{MAX_CHAIN_BYTES}")
+    return live
 
 
 def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,

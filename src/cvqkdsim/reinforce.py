@@ -22,6 +22,9 @@ from .link import assemble_budget  # noqa: F401
 # weight of the old baseline in the moving average of batch-mean rewards
 BASELINE_DECAY = 0.9
 
+# the most threads an ``optimize`` call may run its episodes on
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class GroupSigmas:
@@ -66,15 +69,13 @@ class TransceiverParams:
 
 @dataclass(frozen=True)
 class PolicyState:
-    """Gaussian policy mean plus exploration scales and bookkeeping."""
+    """Gaussian policy mean, exploration scales and reward baseline."""
 
     theta_tx: np.ndarray
     theta_rx: np.ndarray
     theta_log_n: float
     sigma: GroupSigmas
     baseline: float | None = None
-    best_params: TransceiverParams | None = None
-    best_reward: float = -np.inf
 
     def __post_init__(self):
         object.__setattr__(self, "theta_tx", np.asarray(self.theta_tx, dtype=float))
@@ -225,6 +226,19 @@ def _evaluate(raw_tx: np.ndarray, raw_rx: np.ndarray, raw_log_n: float,
                        params=None, reward=0.0, error=str(exc))
 
 
+def _check_workers(workers: int, name: str = "workers") -> None:
+    """Raise ``ValueError`` unless 1 <= ``workers`` <= ``MAX_WORKERS``."""
+    if workers < 1:
+        raise ValueError(f"{name} must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"{name} must be <= {MAX_WORKERS}, got {workers}")
+
+
+def _valid_reward(episode: Episode) -> float:
+    """The episode's reward, or -inf for a failed chain."""
+    return -np.inf if episode.params is None else episode.reward
+
+
 def _next_baseline(baseline: float | None, rewards: np.ndarray) -> float:
     """The moving average of batch-mean rewards; the first batch sets it."""
     mean = float(rewards.mean())
@@ -284,17 +298,10 @@ def reinforce_update(policy: PolicyState, batch: list[Episode],
         score_function_step(theta, np.array(samples), rewards, baseline, s,
                             rate * (s**2 / spread if spread > 0 else 0.0))
         for theta, samples, s, rate in groups)
-
-    best_params, best_reward = policy.best_params, policy.best_reward
-    for ep in batch:
-        if ep.params is not None and ep.reward > best_reward:
-            best_params, best_reward = ep.params, ep.reward
-
     return PolicyState(theta_tx=theta_tx / np.linalg.norm(theta_tx),
                        theta_rx=theta_rx / np.linalg.norm(theta_rx),
                        theta_log_n=float(theta_n[0]), sigma=sigma,
-                       baseline=_next_baseline(policy.baseline, rewards),
-                       best_params=best_params, best_reward=best_reward)
+                       baseline=_next_baseline(policy.baseline, rewards))
 
 
 def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
@@ -311,15 +318,13 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
 
     With ``workers > 1`` each batch's episodes run on that many threads of
     this process (the chain's transforms and array passes release the
-    GIL); otherwise they run in the calling thread. ``workers`` below 1
-    raises ``ValueError``.
+    GIL); otherwise they run in the calling thread. ``workers`` below 1 or
+    over ``MAX_WORKERS`` raises ``ValueError`` (``_check_workers``).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     start = _evaluate(init.theta_tx, init.theta_rx, init.theta_log_n, env,
                       _episode_seeds(config.seed, 0, 0)[1], config.beta)
-    policy = replace(init, best_params=start.params,
-                     best_reward=-np.inf if start.params is None else start.reward)
+    best, policy = start, init
 
     trace: list[TraceRow] = []
     pool = None
@@ -339,21 +344,23 @@ def optimize(env: LinkConfig, init: PolicyState, config: OptimizerConfig,
                               config=config, chain_seed=seeds[0][1])
             batch = list(run(episode, [ep for ep, _ in seeds]))
             policy = reinforce_update(policy, batch, config)
+            # the first episode of the highest valid reward, start first
+            best = max([best, *batch], key=_valid_reward)
             trace.append(TraceRow(
                 iteration=iteration,
                 mean_reward=float(np.mean([ep.reward for ep in batch])),
-                best_reward=policy.best_reward,
+                best_reward=_valid_reward(best),
                 sigma_tx=policy.sigma.tx, sigma_rx=policy.sigma.rx,
                 sigma_n=policy.sigma.n))
     finally:
         if pool is not None:
             pool.shutdown()
 
-    if policy.best_params is None:
+    if best.params is None:
         raise ValueError("no valid reward from the start or any episode; "
                          f"the start failed with: {start.error}")
-    return OptimizeResult(policy=policy, best_params=policy.best_params,
-                          best_reward=policy.best_reward, trace=trace)
+    return OptimizeResult(policy=policy, best_params=best.params,
+                          best_reward=best.reward, trace=trace)
 
 
 def reinforce_search(reward_fn, theta0: np.ndarray, iterations: int = 500,

@@ -279,6 +279,21 @@ class TestDecimate:
            sps=st.integers(1, 6), start=st.integers(0, 5000),
            count=st.integers(0, 5000), complex_signal=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
+    # the strategy's ends, whatever constants hypothesis mines: one sample
+    # and one tap, with one output and none; the longest signal and filter
+    # at the widest decimation, from the first output and from past the
+    # last; and the longest signal with one tap, the longest filter on one
+    # sample, at both decimation ends
+    @example(n=1, num_taps=1, sps=1, start=0, count=1, complex_signal=False, seed=0)
+    @example(n=1, num_taps=1, sps=1, start=0, count=0, complex_signal=True, seed=0)
+    @example(n=4000, num_taps=600, sps=6, start=0, count=5000, complex_signal=True,
+             seed=2**32 - 1)
+    @example(n=4000, num_taps=600, sps=6, start=5000, count=5000, complex_signal=True,
+             seed=2**32 - 1)
+    @example(n=4000, num_taps=1, sps=1, start=0, count=5000, complex_signal=False, seed=1)
+    @example(n=4000, num_taps=1, sps=6, start=0, count=5000, complex_signal=True, seed=1)
+    @example(n=1, num_taps=600, sps=1, start=0, count=5000, complex_signal=True, seed=2)
+    @example(n=1, num_taps=600, sps=6, start=0, count=5000, complex_signal=False, seed=2)
     def test_property_matches_oracle(self, n, num_taps, sps, start, count,
                                      complex_signal, seed):
         # tolerance on the output bound max|s| * sum|taps|, not the kept

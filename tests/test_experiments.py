@@ -19,7 +19,7 @@ from cvqkdsim.dsp import FirFilter, rrc_filter
 from cvqkdsim.keyrate import DEFAULT_BETA
 from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters, transient_margin
 from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizerSpec
-from cvqkdsim.reinforce import GroupRates, GroupSigmas, OptimizerConfig
+from cvqkdsim.reinforce import MAX_WORKERS, GroupRates, GroupSigmas, OptimizerConfig
 
 from oracles import reference_photon_scan
 
@@ -97,6 +97,57 @@ _VALID = {
         optimizer=_optimizer, max_points=_count, symbol_rate=st.none() | _positive,
         eval_num_symbols=st.none() | _count),
 }
+
+_BIG = float(np.finfo(float).max)
+_TINY = float(np.nextafter(0.0, 1.0))
+# the smallest and the largest instance each _VALID strategy allows
+_EDGES = {
+    "LpfConfig": (LpfConfig(order=1, bandwidth_norm=0.05, num_taps=1),
+                  LpfConfig(order=8, bandwidth_norm=2.0, num_taps=513)),
+    "QuantizerSpec": (QuantizerSpec(bits=1, clipping_factor=CLIPPING_RANGE[0]),
+                      QuantizerSpec(bits=MAX_BITS, clipping_factor=CLIPPING_RANGE[1])),
+    "GroupSigmas": (GroupSigmas(-_BIG, -_BIG, -_BIG), GroupSigmas(_BIG, _BIG, _BIG)),
+    "GroupRates": (GroupRates(-_BIG, -_BIG, -_BIG), GroupRates(_BIG, _BIG, _BIG)),
+    "ReferencePoint": (ReferencePoint(ref_taps=1, ref_bits=1),
+                       ReferencePoint(ref_taps=2**31, ref_bits=62)),
+}
+_EDGES["LinkConfig"] = tuple(
+    LinkConfig(distance_km=distance, attenuation_db_per_km=3076.0 / distance if distance
+               else 0.0, channel_excess_photons=excess, sps=sps, lpf=lpf, dac=quant,
+               adc=quant, tx_len=count, rx_len=count, num_symbols=max(count, 513), seed=seed)
+    for distance, excess, sps, lpf, quant, count, seed in (
+        (0.0, 0.0, 1, _EDGES["LpfConfig"][0], None, 1, 0),
+        (_BIG, _BIG, 64, _EDGES["LpfConfig"][1], _EDGES["QuantizerSpec"][1], 2**31,
+         2**64 - 1)))
+_EDGES["OptimizerConfig"] = tuple(
+    OptimizerConfig(batch_size=batch, learning_rate=GroupRates(rate, rate, rate),
+                    iterations=iterations, sigma_init=GroupSigmas(rate, rate, rate),
+                    sigma_decay=unit, sigma_floor=floor, seed=seed, beta=unit)
+    for batch, rate, iterations, unit, floor, seed in (
+        (2, _TINY, 0, _TINY, 0.0, 0), (2**31, _BIG, 2**31, 1.0, _BIG, 2**64 - 1)))
+_EDGES["SweepSpec"] = (
+    SweepSpec(kind="bits-sweep", bits=[1], taps=[1], distances_km=[0.0],
+              photon_grid=[_TINY], env=_EDGES["LinkConfig"][0], mode="unoptimized",
+              reference=_EDGES["ReferencePoint"][0], optimizer=_EDGES["OptimizerConfig"][0],
+              max_points=1, symbol_rate=None, eval_num_symbols=None),
+    SweepSpec(kind="taps-bits-grid", bits=[62] * 4, taps=[2**31] * 4,
+              distances_km=[_BIG] * 4, photon_grid=[_BIG / 4, _BIG / 2, _BIG * 0.75, _BIG],
+              env=_EDGES["LinkConfig"][1], mode="both",
+              reference=_EDGES["ReferencePoint"][1], optimizer=_EDGES["OptimizerConfig"][1],
+              max_points=2**31, symbol_rate=_BIG, eval_num_symbols=2**31))
+
+
+class _EdgeDraws:
+    """Stands in for ``st.data()`` in an ``@example``: each draw from a
+    ``_VALID`` strategy gives that strategy's smallest (``end=0``) or
+    largest (``end=1``) instance from ``_EDGES``."""
+
+    def __init__(self, end):
+        self.end = end
+
+    def draw(self, strategy):
+        name = next(name for name, valid in _VALID.items() if valid is strategy)
+        return _EDGES[name][self.end]
 
 
 class TestRunSweep:
@@ -245,6 +296,20 @@ class TestRunSweep:
                          mode="unoptimized", photon_grid=[2.0])
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run_sweep(spec, workers=workers)
+
+    def test_refuses_workers_over_the_bound(self, monkeypatch):
+        # refused before any chain or thread can start
+        def no_run(*args, **kwargs):
+            raise AssertionError("a thread pool or a chain started")
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_run)
+        monkeypatch.setattr(experiments, "run_chain", no_run)
+        monkeypatch.setattr(reinforce, "run_chain", no_run)
+        spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
+                         mode="optimized", photon_grid=[2.0],
+                         optimizer=_tiny_optimizer(batch_size=MAX_WORKERS + 1))
+        with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, "
+                                             f"got {MAX_WORKERS + 1}"):
+            run_sweep(spec, workers=MAX_WORKERS + 1)
 
     @pytest.mark.parametrize("kind,mode,size", [
         ("bits-sweep", "both", 4), ("distance-sweep", "optimized", 3),
@@ -512,6 +577,9 @@ class TestConfigLoading:
     @pytest.mark.parametrize("name", sorted(_VALID))
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
+    # the strategies' ends, whatever constants hypothesis mines
+    @example(data=_EdgeDraws(0))
+    @example(data=_EdgeDraws(1))
     def test_valid_instances_round_trip_through_dict(self, name, data):
         # also through JSON text, as a config file holds them
         value = data.draw(_VALID[name])
@@ -1017,6 +1085,62 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_workers_over_the_bound_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        # refused before any thread can start: the pool fails if built
+        def no_run(*args, **kwargs):
+            raise AssertionError("a thread pool or a chain started")
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_run)
+        for module in (cli, experiments, reinforce):
+            monkeypatch.setattr(module, "run_chain", no_run)
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "env": {"num_symbols": 3000, "tx_len": 11, "rx_len": 21},
+            "optimizer": {"batch_size": MAX_WORKERS + 1, "iterations": 1},
+            **({"mode": "optimized", "bits": [10], "photon_grid": [2.0]}
+               if command == "sweep" else {})}))
+        flag = "--config" if command == "optimize" else "--spec"
+        assert cli.main([command, flag, str(doc), "--workers", str(MAX_WORKERS + 1),
+                         "--out" if command == "optimize" else "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --workers must be <= {MAX_WORKERS}, "
+                                f"got {MAX_WORKERS + 1}\n")
+        assert not (tmp_path / "out").exists()
+
+    # a block whose chain would exceed the per-chain budget is refused at
+    # load, before any chain work: every chain entry fails if reached
+    @pytest.mark.parametrize("command,doc,message", [
+        ("simulate", {"num_symbols": 10**15}, "num_symbols=1000000000000000 at sps=4"),
+        ("optimize", {"env": {"num_symbols": 10**15}},
+         "env: num_symbols=1000000000000000 at sps=4"),
+        ("sweep", {"kind": "bits-sweep", "bits": [10], "mode": "unoptimized",
+                   "photon_grid": [2.0], "eval_num_symbols": 10**15},
+         "grid point bits=10: num_symbols=1000000000000000 at sps=4"),
+        ("sweep", {"kind": "taps-bits-grid", "taps": [11], "bits": [10],
+                   "mode": "unoptimized", "photon_grid": [2.0],
+                   "reference": {"ref_taps": 70001}},
+         "taps-bits reference taps=70001: 70001/70001/257 tx/rx/LPF taps take")],
+        ids=["simulate", "optimize", "sweep-eval-block", "sweep-reference"])
+    def test_chain_over_budget_is_refused_at_load(self, tmp_path, capsys, monkeypatch,
+                                                  command, doc, message):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        for module in (cli, experiments, reinforce):
+            monkeypatch.setattr(module, "run_chain", no_chain)
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        args = {"simulate": ["simulate", "--config", str(path)],
+                "optimize": ["optimize", "--config", str(path), "--out", str(out)],
+                "sweep": ["sweep", "--spec", str(path), "--out-dir", str(out)]}[command]
+        assert cli.main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"budget refused: {message}")
+        assert captured.err.count("\n") == 1 and "over the budget of" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     # a block too large to allocate is a runtime error naming the command,
     # not a traceback; the command's entry raises, so nothing is allocated

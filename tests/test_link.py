@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,8 +12,9 @@ from oracles import reference_chain_reports, reference_isi
 from cvqkdsim import dsp, link
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
 from cvqkdsim.keyrate import SkrInputs
-from cvqkdsim.link import (IsiProfile, LinkConfig, LpfConfig, ParameterEstimate,
-                           assemble_budget, baseline_filters, effective_response,
+from cvqkdsim.link import (MAX_CHAIN_BYTES, BudgetError, IsiProfile, LinkConfig,
+                           LpfConfig, ParameterEstimate, assemble_budget,
+                           baseline_filters, chain_bytes, effective_response,
                            estimate_parameters, run_chain, transient_margin)
 from cvqkdsim.quantization import CLIPPING_RANGE, MAX_BITS, QuantizationReport, QuantizerSpec
 
@@ -163,6 +165,18 @@ class TestRunChain:
            bits=st.one_of(st.none(), st.integers(3, 14)),
            distance_km=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1),
            n0=st.floats(0.05, 20.0), n=st.floats(0.01, 100.0))
+    # the strategy's ends, whatever constants hypothesis mines: the shortest
+    # block at 2 samples per symbol with one-tap filters, the fewest bits
+    # and the smallest photon numbers, then the longest block, filters and
+    # most bits at the largest ones, and both photon ratios' extremes
+    @example(num_symbols=1_500, sps=2, tx_len=1, rx_len=1, lpf_taps=33, bits=3,
+             distance_km=0.0, seed=0, n0=0.05, n=0.01)
+    @example(num_symbols=4_000, sps=4, tx_len=41, rx_len=61, lpf_taps=257, bits=14,
+             distance_km=150.0, seed=2**32 - 1, n0=20.0, n=100.0)
+    @example(num_symbols=1_500, sps=2, tx_len=41, rx_len=61, lpf_taps=257, bits=None,
+             distance_km=150.0, seed=1, n0=0.05, n=100.0)
+    @example(num_symbols=4_000, sps=4, tx_len=1, rx_len=1, lpf_taps=33, bits=14,
+             distance_km=0.0, seed=2, n0=20.0, n=0.01)
     def test_homogeneous_in_amplitude(self, num_symbols, sps, tx_len, rx_len,
                                       lpf_taps, bits, distance_km, seed, n0, n):
         # the symbol draw is one standard-normal block scaled by sqrt(n / 2),
@@ -344,6 +358,49 @@ class TestTransientMargin:
                                              r"it keeps 999 symbols, .* at least 1000"):
             transient_margin(LinkConfig(num_symbols=1183), 11, 101)
         assert transient_margin(LinkConfig(num_symbols=1184), 11, 101) == 92
+
+
+class TestChainBytes:
+    # the default link at 100k symbols, then the shortest blocks that the
+    # transient admits for long filters, a long LPF at 16 samples per symbol
+    # and one sample per symbol, where the overlap-save frames dominate
+    @pytest.mark.parametrize("num_symbols,sps,tx_len,rx_len,lpf_taps,least", [
+        (100_000, 4, 11, 101, 257, 0.85), (3_000, 4, 1001, 1001, 257, 0.0),
+        (1_186, 16, 11, 11, 1457, 0.0), (2_238, 1, 182, 182, 257, 0.0)])
+    def test_bounds_the_traced_peak(self, num_symbols, sps, tx_len, rx_len,
+                                    lpf_taps, least):
+        cfg = LinkConfig(num_symbols=num_symbols, sps=sps, tx_len=tx_len,
+                         rx_len=rx_len, lpf=LpfConfig(num_taps=lpf_taps), seed=3)
+        h_tx, h_rx = baseline_filters(cfg)
+        run_chain(replace(cfg, seed=4), h_tx, h_rx, 2.0)  # first-call allocations
+        dsp._standard_block.cache_clear()  # the symbol block counts
+        dsp._spectra.cache_clear()  # and so do the tap spectra
+        tracemalloc.start()
+        try:
+            run_chain(cfg, h_tx, h_rx, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert least * chain_bytes(cfg, tx_len, rx_len) <= peak <= \
+            chain_bytes(cfg, tx_len, rx_len)
+
+    def test_refuses_a_block_over_the_budget(self):
+        cfg = LinkConfig()
+        taps = cfg.tx_len + cfg.rx_len + cfg.lpf.num_taps
+        most = (MAX_CHAIN_BYTES - 1024 * taps) // (52 * (cfg.sps + 1))
+        assert chain_bytes(replace(cfg, num_symbols=most), 11, 101) <= MAX_CHAIN_BYTES
+        with pytest.raises(BudgetError, match=rf"num_symbols={most + 1} at sps=4 with "
+                                              r"11/101/257 tx/rx/LPF taps .* over the "
+                                              r"budget of 4096 MiB"):
+            chain_bytes(replace(cfg, num_symbols=most + 1), 11, 101)
+
+    def test_refuses_an_effective_response_over_the_budget(self):
+        # 65000^2 + 129999 * 257 multiply-adds fit in 2^32; 65600^2 do not
+        cfg = LinkConfig()
+        chain_bytes(cfg, 65_000, 65_000)
+        with pytest.raises(BudgetError, match="65600/65600/257 tx/rx/LPF taps take "
+                                              "4337078143 multiply-adds"):
+            chain_bytes(cfg, 65_600, 65_600)
 
 
 class TestEstimateParameters:

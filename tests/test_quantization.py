@@ -39,6 +39,12 @@ _IDEMPOTENT_EDGES = [dict(bits=bits, full=full, rails=rails, complex_signal=comp
                      for rails in (np.array([[3.0, -3.0], [-3.0, 3.0]]), np.zeros((2, 2)))
                      for complex_signal in (False, True)]
 
+# the noise oracle strategy's edges: one sample and 3000, both ends of the
+# scale, and every real/complex pairing of the two signals
+_NOISE_EDGES = [dict(n=n, q_complex=q_complex, x_complex=x_complex, scale=scale, seed=seed)
+                for n, seed in ((1, 0), (3000, 2**32 - 1)) for scale in (1e-6, 1e6)
+                for q_complex in (False, True) for x_complex in (False, True)]
+
 
 class TestQuantize:
     def test_one_bit_positive_level(self):
@@ -170,6 +176,7 @@ class TestMeasureNoise:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 3000), q_complex=st.booleans(), x_complex=st.booleans(),
            scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+    @_examples(*_NOISE_EDGES)
     def test_matches_complex_difference_oracle(self, n, q_complex, x_complex,
                                                scale, seed):
         # the rail-wise pairwise mean and the mean of |q - x|^2 differ only in

@@ -251,6 +251,18 @@ class TestOptimize:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             optimize(env, _policy(env), cfg, workers=workers)
 
+    def test_refuses_workers_over_the_bound(self, monkeypatch):
+        # refused before the start's chain and before any thread can start
+        def no_run(*args, **kwargs):
+            raise AssertionError("a chain or a thread pool started")
+        monkeypatch.setattr(reinforce, "chain_reward", no_run)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_run)
+        env = _small_env()
+        cfg = OptimizerConfig(batch_size=reinforce.MAX_WORKERS + 1, iterations=1)
+        with pytest.raises(ValueError, match=f"workers must be <= {reinforce.MAX_WORKERS}, "
+                                             f"got {reinforce.MAX_WORKERS + 1}"):
+            optimize(env, _policy(env), cfg, workers=reinforce.MAX_WORKERS + 1)
+
     def test_workers_evaluate_every_episode_in_this_process(self, monkeypatch):
         # a forked worker would record into its own memory, not into pids
         env = _small_env()
