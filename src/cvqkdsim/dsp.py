@@ -5,7 +5,11 @@ Amplitudes are carried in root-photon units throughout: the mean square
 Signals and symbol blocks are plain numpy arrays; complex signals are
 processed as two independent real rails through real-tapped filters.
 Every filter runs as an overlap-save product with its spectrum, which
-``_tap_spectra`` forms with numpy's transform once per tap vector.
+``_tap_spectra`` forms with numpy's transform once per tap vector, and
+every pass leaves its outputs in its own frames (``_kept``). The LPF's
+pass (``convolve``) also yields the rx filter's output of its input from
+the same frame transforms, the frequency-domain dual of the polyphase
+decimator (Crochiere & Rabiner, *Multirate Digital Signal Processing*).
 """
 
 from __future__ import annotations
@@ -85,25 +89,6 @@ def upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
     return out
 
 
-def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0) -> np.ndarray:
-    """Full linear convolution of a signal with an FIR filter, times ``gain``.
-
-    The (complex) signal runs once through ``decimate``'s overlap-save pass
-    at one sample per output, so both rails share one FFT. The filter's
-    memoized spectrum (``_tap_spectra``, the inverse transform's 1/n folded
-    in) is scaled by ``gain`` in its few bins, not in the output. A real
-    input gives a real output. The chain calls it for the LPF, with the
-    channel loss sqrt(tau_ch) as the gain; the tx filter runs through
-    ``interpolate`` and the rx filter through ``decimate``.
-    """
-    sig = np.asarray(sig)
-    if len(sig) == 0:
-        return np.zeros(0, dtype=complex)
-    spectrum = _tap_spectra(fir.taps, 1) * gain
-    out = _decimate(sig, spectrum, len(fir), 1, 0, len(sig) + len(fir) - 1)
-    return out if np.iscomplexobj(sig) else out.real
-
-
 # interpolate's tap rows shorter than this run through np.convolve, which has
 # an unrolled loop for kernels of up to 11 taps; there its two real passes beat
 # one overlap-save pass over the complex signal at 10k-400k samples, and from
@@ -114,6 +99,85 @@ _FFT_MIN_TAPS = 12
 # products; such a signal comes out non-finite, and the chain's finite check
 # is the one place that reports it
 _QUIET = np.errstate(invalid="ignore", over="ignore")
+
+
+@_QUIET
+def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0, rx_taps=(1.0,),
+             sps: int = 1, start: int = 0,
+             count: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Full linear convolution of a signal with an FIR filter, times ``gain``,
+    and from the same transforms its twin through ``rx_taps``,
+    ``decimate(out, rx_taps, sps, start, count)``. Returns ``(out, twin)``.
+
+    The signal runs through one overlap-save pass framed for the combined
+    response ``fir * rx_taps``: its frames overlap by V samples, the
+    combined response's ``len(fir) + len(rx_taps) - 2`` rounded up to a
+    multiple of ``sps``, are N = ``sps * _frame_len(V / sps + 1, 512 // sps)``
+    points long (2048 for the chain's 257-tap LPF and 101-tap rx filter at
+    4 samples per symbol) and take one forward FFT each. They start
+    ``-start % sps`` samples early, so the samples at multiples of ``sps``
+    in every frame are the twin's. Each frame spectrum then serves two
+    products:
+    - the filter's: times its memoized spectrum (``_tap_spectra``, the
+      inverse transform's 1/n folded in) scaled by ``gain`` in its few bins,
+      then one unnormalized full-rate inverse. A real input gives a real
+      ``out``;
+    - the twin's, only for ``count > 0``: times the gain-scaled spectrum of
+      the combined taps, summed over its ``sps`` aliases in one ``einsum``
+      (no BLAS; the frequency-domain dual of ``decimate``'s polyphase rows,
+      Crochiere & Rabiner), then one N/sps-point inverse. ``count`` is cut
+      at the end of the combined convolution, as in ``decimate``.
+    Each inverse leaves its outputs in its own frames (``_kept``). The
+    framing does not depend on ``count``, so ``out`` is the same bits with a
+    twin and without. The chain calls it for the LPF, with the channel loss
+    sqrt(tau_ch) as the gain and the rx filter's taps: the twin is its rx
+    output without the ADC. The tx filter runs through ``interpolate`` and
+    the rx filter through ``decimate``.
+    """
+    if sps < 1:
+        raise ValueError(f"sps must be >= 1, got {sps}")
+    if start < 0 or count < 0:
+        raise ValueError(f"start and count must be >= 0, got {start}, {count}")
+    sig = np.asarray(sig)
+    rx_taps = np.asarray(rx_taps, dtype=float)
+    n = len(sig)
+    if n == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    full_len = n + len(fir) - 1
+    count = max(0, min(count, -(-(full_len + len(rx_taps) - 1 - start) // sps)))
+    overlap = -(-(len(fir) + len(rx_taps) - 2) // sps) * sps
+    nfft = sps * _frame_len(overlap // sps + 1, 512 // sps)
+    step = nfft - overlap  # outputs per frame
+    rows = step // sps  # twin outputs per frame
+    lead = -start % sps  # outputs before the first sample of the convolution
+    first = -(-start // sps)  # kept twin outputs before the first wanted one
+    num_frames = max(-(-(lead + full_len) // step), -(-(first + count) // rows))
+    frames = _frame_spectra(sig, overlap + lead, num_frames, step, nfft)
+    twin = np.zeros(0, dtype=complex)
+    if count:
+        spectrum = _tap_spectra(np.convolve(fir.taps, rx_taps), 1, nfft) * gain
+        f0, f1 = first // rows, -(-(first + count) // rows)
+        folded = np.einsum("frm,rm->fm", frames[f0:f1].reshape(f1 - f0, sps, -1),
+                           spectrum.reshape(sps, -1))
+        del spectrum
+        np.fft.ifft(folded, axis=-1, out=folded, norm="forward")
+        twin = _kept(folded, overlap // sps)[first - f0 * rows:][:count]
+    frames *= _tap_spectra(fir.taps, 1, nfft) * gain
+    np.fft.ifft(frames, axis=-1, out=frames, norm="forward")
+    out = _kept(frames, overlap)[lead:lead + full_len]
+    return out if np.iscomplexobj(sig) else out.real, twin
+
+
+def _kept(frames: np.ndarray, overlap: int) -> np.ndarray:
+    """The outputs of contiguous overlap-save ``frames`` past their first
+    ``overlap`` samples, in order, moved to the front of the frames' own
+    buffer: a view of it, with no copy of the signal. Row f's outputs land
+    before its start, so no row is overwritten before it is read."""
+    flat = frames.reshape(-1)
+    step = frames.shape[1] - overlap
+    for f, row in enumerate(frames):
+        flat[f * step:(f + 1) * step] = row[overlap:]
+    return flat[:len(frames) * step]
 
 
 @_QUIET
@@ -169,8 +233,8 @@ def interpolate(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
     tap_spectrum = _tap_spectra(taps, 1, sps * m).reshape(sps, m)
     tiled = (spectra[:, None, :] * tap_spectrum).reshape(num_frames, sps * m)
     del spectra
-    out = np.fft.ifft(tiled, axis=-1, out=tiled, norm="forward")[:, overlap * sps:]
-    out = out.reshape(-1)[:full_len]
+    np.fft.ifft(tiled, axis=-1, out=tiled, norm="forward")
+    out = _kept(tiled, overlap * sps)[:full_len]
     out[(n - 1) * sps + len(taps):] = 0
     if not np.iscomplexobj(symbols):
         out.imag = 0
@@ -184,6 +248,7 @@ def downsample(sig: np.ndarray, sps: int, phase: int = 0) -> np.ndarray:
     return sig[phase::sps]
 
 
+@_QUIET
 def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
              count: int) -> np.ndarray:
     """``convolve(sig, taps)[start::sps][:count]``, computing only the kept
@@ -199,27 +264,21 @@ def decimate(sig: np.ndarray, taps: np.ndarray, sps: int, start: int,
     With ``sps=1`` there is one phase row and this is plain overlap-save;
     ``start=0`` with ``count = len(sig) + len(taps) - 1`` gives the full
     convolution. Frame f holds phase samples ``f*step`` on, and every frame
-    is cut the same way (``_frame_spectra``), as are ``interpolate``'s.
+    is cut the same way (``_frame_spectra``), as are ``convolve``'s and
+    ``interpolate``'s.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
     if start < 0 or count < 0:
         raise ValueError(f"start and count must be >= 0, got {start}, {count}")
     taps = np.asarray(taps, dtype=float)
-    full_len = len(sig) + len(taps) - 1 if len(sig) else 0
+    n = len(sig)
+    full_len = n + len(taps) - 1 if n else 0
     kept = max(0, min(count, -(-(full_len - start) // sps)))
     if kept == 0:
         return np.zeros(0, dtype=complex)
-    return _decimate(sig, _tap_spectra(taps, sps), len(taps), sps, start, kept)
-
-
-@_QUIET
-def _decimate(sig: np.ndarray, tap_spectra: np.ndarray, num_taps: int, sps: int,
-              start: int, kept: int) -> np.ndarray:
-    """``decimate``'s pass, given its ``_tap_spectra`` and its ``kept >= 1``
-    outputs, all inside the full convolution."""
-    n = len(sig)
-    rows = -(-num_taps // sps)  # length of the longest tap row
+    tap_spectra = _tap_spectra(taps, sps)
+    rows = -(-len(taps) // sps)  # length of the longest tap row
     nfft = tap_spectra.shape[-1]
     step = nfft - rows + 1  # kept outputs per frame; the last frame's surplus is dropped
     num_frames = -(-kept // step)
@@ -235,9 +294,8 @@ def _decimate(sig: np.ndarray, tap_spectra: np.ndarray, num_taps: int, sps: int,
         else:
             total += spectra
         del spectra
-    kept_rows = np.fft.ifft(total, axis=-1, out=total, norm="forward")[:, rows - 1:]
-    del total
-    return kept_rows.reshape(-1)[:kept]
+    np.fft.ifft(total, axis=-1, out=total, norm="forward")
+    return _kept(total, rows - 1)[:kept]
 
 
 def _tap_spectra(taps: np.ndarray, sps: int, nfft: int | None = None) -> np.ndarray:
@@ -273,16 +331,17 @@ def _spectra(taps: bytes, sps: int, nfft: int) -> np.ndarray:
     return spectra
 
 
-def _frame_len(rows: int) -> int:
+def _frame_len(rows: int, least: int = 512) -> int:
     """Overlap-save frame length for filter rows of ``rows`` taps: the power
-    of two nearest ``8 * rows``, at least 512.
+    of two nearest ``8 * rows``, and no less than ``least`` rounded down to a
+    power of two.
 
     Eight times the row length keeps the overlap to about an eighth of each
     frame; powers of two run faster than the nearby 7-smooth lengths
     (2048 against 2016 or 2058); and 512 points keep the per-call cost of
     the batched transforms small next to their arithmetic.
     """
-    return 1 << max(9, round(math.log2(8 * rows)))
+    return 1 << max(least.bit_length() - 1, round(math.log2(8 * rows)))
 
 
 def _frame_spectra(src: np.ndarray, i0: int, num_frames: int, step: int,
@@ -381,7 +440,7 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
         raise ValueError(f"num_taps must be >= 1, got {num_taps}")
     if num_taps % 2 == 0:
         raise ValueError("num_taps must be odd for a symmetric linear-phase FIR")
-    grid = 1 << max(12, int(np.ceil(np.log2(8 * num_taps))))
+    grid = _design_grid(num_taps)
     f = np.fft.fftfreq(grid, d=1.0 / sps)  # cycles per symbol duration
     # past the band edge a high order's power overflows to inf, and exp(-inf)
     # is the 0 that the magnitude underflows to there anyway
@@ -394,3 +453,10 @@ def super_gaussian_lpf(order: int = 4, bandwidth_norm: float = 0.75,
     taps = taps / np.sum(taps)  # unit DC gain
     taps.flags.writeable = False
     return FirFilter(taps)
+
+
+def _design_grid(num_taps: int) -> int:
+    """Points of ``super_gaussian_lpf``'s frequency grid for ``num_taps``
+    taps: the power of two at or above 8x the taps, at least 4096. Its arrays
+    take 48 bytes a point at their peak (``tracemalloc``, 1k-400k taps)."""
+    return 1 << max(12, (8 * num_taps - 1).bit_length())

@@ -27,7 +27,8 @@ MIN_SYMBOL_PAIRS = 1000
 MIN_TRANSMITTANCE = float(np.finfo(float).tiny)
 
 # the most bytes one chain's live arrays may take at their peak
-# (``chain_bytes``), and the most multiply-adds of ``effective_response``
+# (``chain_bytes``), the most multiply-adds of ``effective_response``, and
+# the most bytes of the LPF's design grid
 MAX_CHAIN_BYTES = 1 << 32
 
 
@@ -95,6 +96,14 @@ class LinkConfig:
         if self.lpf.num_taps > self.num_symbols * self.sps:
             raise ValueError(f"lpf.num_taps={self.lpf.num_taps} exceeds the block's "
                              f"{self.num_symbols * self.sps} samples")
+        # a design grid over the budget is refused before it is built, at
+        # the 48 bytes a point its arrays take
+        grid = dsp._design_grid(self.lpf.num_taps)
+        if 48 * grid > MAX_CHAIN_BYTES:
+            raise BudgetError(
+                f"lpf.num_taps={self.lpf.num_taps} is designed on a grid of {grid} "
+                f"points, about {48 * grid // 2**20} MiB of arrays, over the budget "
+                f"of {MAX_CHAIN_BYTES // 2**20} MiB")
         self.lpf_filter()  # the LPF design checks its parameters
 
     @property
@@ -214,19 +223,21 @@ def transient_margin(config: LinkConfig, tx_len: int, rx_len: int) -> int:
 def chain_bytes(config: LinkConfig, tx_len: int, rx_len: int) -> int:
     """An upper bound on the bytes of a chain's live arrays at their peak.
 
-    The bound is 52 bytes per sample at the sample and at the symbol rate,
-    plus 1024 (64 complex values) per tx, rx and LPF tap: an overlap-save
+    The bound is 44 bytes per sample at the sample and at the symbol rate,
+    plus 1536 (96 complex values) per tx, rx and LPF tap: an overlap-save
     pass holds its filter's spectrum and whole spare frames of up to 11.3x
-    a tap row. ``tracemalloc`` peaks of ``run_chain`` with reports reach
-    78-96% of it at 50k-1M symbols (1 to 64 samples per symbol, 11 to 1001
-    taps), and 27-84% on the shortest blocks the filter transient admits
-    for up to 11,601 taps. Raises ``BudgetError`` when it exceeds
-    ``MAX_CHAIN_BYTES``, or when ``effective_response``'s direct
-    convolutions take more multiply-adds than ``MAX_CHAIN_BYTES``; at about
-    0.16 ns each, those stay under a second.
+    a tap row, and the LPF's pass also the spectrum of its combined response
+    with the rx filter. ``tracemalloc`` peaks of ``run_chain`` with reports
+    reach 66-98% of it at 50k-1M symbols (1 to 64 samples per symbol, 11 to
+    1001 taps; 87% at 100k symbols and 11/101 taps), and 26-82% on the
+    shortest blocks the filter transient admits for up to 11,601 taps.
+    Raises ``BudgetError`` when it exceeds ``MAX_CHAIN_BYTES``, or when
+    ``effective_response``'s direct convolutions take more multiply-adds
+    than ``MAX_CHAIN_BYTES``; at about 0.16 ns each, those stay under a
+    second.
     """
     taps = tx_len + rx_len + config.lpf.num_taps
-    live = 52 * config.num_symbols * (config.sps + 1) + 1024 * taps
+    live = 44 * config.num_symbols * (config.sps + 1) + 1536 * taps
     if live > MAX_CHAIN_BYTES:
         raise BudgetError(
             f"num_symbols={config.num_symbols} at sps={config.sps} with {tx_len}/"
@@ -254,26 +265,30 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     tap rows (the 11-tap filter) filter the symbols' rails row by row, and
     long ones (the 1001-tap reference) run one full-rate overlap-save over
     the symbol spectrum tiled ``sps`` times. The LPF is filtered full-length
-    by ``dsp.convolve`` (overlap-save at its 257 taps), with the channel
-    loss sqrt(tau_ch) as its gain: the loss scales the LPF's spectrum,
-    which is computed once per tap vector, so no pass over the signal
-    applies it. The rx FIR runs through ``dsp.decimate``, evaluated only at
-    the ``num_symbols`` symbol-spaced outputs from the response peak on.
-    Each stage's input is released once the next stage has it.
+    by ``dsp.convolve``, one overlap-save pass framed for the LPF and the rx
+    FIR together, with the channel loss sqrt(tau_ch) as its gain: the loss
+    scales the LPF's spectrum, which is computed once per tap vector, so no
+    pass over the signal applies it. The rx FIR runs through
+    ``dsp.decimate``, evaluated only at the ``num_symbols`` symbol-spaced
+    outputs from the response peak on. Each stage's input is released once
+    the next stage has it.
     Each converter is one ``quantization.convert`` call: its full scale is
     frozen from its unquantized input, and it quantizes in one blocked
     pass. With reports it also counts the clips and leaves its error in its
-    input, which the chain gives up; the report's noise is the error's mean
-    square, the DAC's at the DAC plane and the ADC's after the rx FIR (by
-    linearity, the output minus an ADC-bypassed twin, never built).
+    input, which the chain gives up. The DAC's noise is the mean square of
+    its error at the DAC plane. The ADC's is the mean square of rx - Y over
+    the kept symbols: Y is the ADC-bypassed twin of rx, which the LPF's
+    pass forms from its own frame transforms through the combined LPF and
+    rx response, so no second rx pass filters the ADC's error.
     A bypassed converter reports zero. Edge symbols inside the filter
     transient are trimmed. Non-finite received symbols raise ``ValueError``.
 
     With ``reports=False`` both reports are None, and the chain skips the
     work only they need: the clip counts, the errors and their mean squares,
-    and the ADC error's rx filtering. The converters still load their full
-    scales and quantize, and ``decimate`` filters each signal on its own, so
-    the symbols and the ISI profile are the same bits as with reports.
+    and the twin. The LPF's pass keeps its framing, the converters still
+    load their full scales and quantize, and ``decimate`` filters each
+    signal on its own, so the symbols and the ISI profile are the same bits
+    as with reports.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
@@ -299,21 +314,25 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
         after_dac = shaped
     del shaped
 
-    attenuated = dsp.convolve(after_dac, lpf, np.sqrt(config.channel_transmittance))
+    # with reports, the ADC-bypassed twin of rx at the kept symbols comes
+    # from the LPF's own transforms
+    twin_count = sl.stop - sl.start if reports and config.adc is not None else 0
+    attenuated, twin = dsp.convolve(after_dac, lpf, np.sqrt(config.channel_transmittance),
+                                    h_rx.taps, sps, isi.delay_index + margin * sps,
+                                    twin_count)
     del after_dac
 
     if config.adc is not None:
         after_adc, adc_clips = convert(attenuated, config.adc, reports)
     else:
         after_adc = attenuated
+    del attenuated
     rx = dsp.decimate(after_adc, h_rx.taps, sps, isi.delay_index, config.num_symbols)
     del after_adc
     if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
-    if reports and config.adc is not None:
-        # attenuated holds the ADC's error, referred to the symbol plane here
-        error = dsp.decimate(attenuated, h_rx.taps, sps, isi.delay_index, config.num_symbols)
-        adc_report = QuantizationReport(_mean_square(error[sl]), adc_clips)
+    if twin_count:
+        adc_report = QuantizationReport(_mean_square(twin - rx[sl]), adc_clips)
     return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
                        dac_report=dac_report, adc_report=adc_report, isi=isi)
 

@@ -15,6 +15,13 @@ from cvqkdsim.link import LinkConfig, LpfConfig, baseline_filters
 from cvqkdsim.quantization import QuantizerSpec, full_scale
 
 
+def _convolve(sig, fir, gain=1.0):
+    """``convolve``'s full convolution, from a call that forms no twin."""
+    out, twin = convolve(sig, fir, gain)
+    assert twin.shape == (0,)
+    return out
+
+
 class TestGenerateSymbols:
     def test_mean_power_tracks_target(self):
         block = generate_symbols(100_000, 6.0, seed=1)
@@ -109,23 +116,23 @@ class TestResampling:
 
 class TestConvolve:
     def test_impulse_response(self):
-        out = convolve(np.array([1.0, 0.0, 0.0]), FirFilter(np.array([2.0, 5.0])))
+        out = _convolve(np.array([1.0, 0.0, 0.0]), FirFilter(np.array([2.0, 5.0])))
         np.testing.assert_allclose(out, [2.0, 5.0, 0.0, 0.0], atol=1e-12)
 
     def test_identity_filter(self):
-        out = convolve(np.array([3.0 + 1j]), FirFilter(np.array([1.0])))
+        out = _convolve(np.array([3.0 + 1j]), FirFilter(np.array([1.0])))
         np.testing.assert_allclose(out, [3.0 + 1j], atol=1e-12)
 
     def test_commutativity(self):
         rng = np.random.default_rng(0)
         sig = rng.normal(size=17)
         taps = rng.normal(size=9)
-        left = convolve(sig, FirFilter(taps))
-        right = convolve(taps, FirFilter(sig))
+        left = _convolve(sig, FirFilter(taps))
+        right = _convolve(taps, FirFilter(sig))
         np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_empty_input(self):
-        out = convolve(np.zeros(0), FirFilter(np.array([1.0, 2.0])))
+        out = _convolve(np.zeros(0), FirFilter(np.array([1.0, 2.0])))
         assert len(out) == 0
 
     def test_linearity(self):
@@ -136,8 +143,8 @@ class TestConvolve:
             s1, s2 = rng.normal(size=n), rng.normal(size=n)
             h = FirFilter(rng.normal(size=m))
             alpha, beta = rng.normal(), rng.normal()
-            combined = convolve(alpha * s1 + beta * s2, h)
-            separate = alpha * convolve(s1, h) + beta * convolve(s2, h)
+            combined = _convolve(alpha * s1 + beta * s2, h)
+            separate = alpha * _convolve(s1, h) + beta * _convolve(s2, h)
             np.testing.assert_allclose(combined, separate, atol=1e-10)
 
     def test_parseval_on_impulse(self):
@@ -145,7 +152,7 @@ class TestConvolve:
         taps = rng.normal(size=33)
         impulse = np.zeros(1)
         impulse[0] = 1.0
-        out = convolve(impulse, FirFilter(taps))
+        out = _convolve(impulse, FirFilter(taps))
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(taps**2), abs=1e-12)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -162,7 +169,7 @@ class TestConvolve:
             sig = sig + 1j * rng.normal(size=n)
         taps = rng.normal(size=num_taps)
         want = reference_convolve(sig, taps)
-        got = convolve(sig, FirFilter(taps))
+        got = _convolve(sig, FirFilter(taps))
         assert got.shape == want.shape
         assert np.iscomplexobj(got) == complex_signal
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -183,11 +190,62 @@ class TestConvolve:
             sig = sig + 1j * rng.normal(size=n)
         fir = FirFilter(rng.normal(size=num_taps))
         want = gain * reference_convolve(sig, fir.taps)
-        got = convolve(sig, fir, gain)
+        got = _convolve(sig, fir, gain)
         assert np.iscomplexobj(got) == complex_signal
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # the memoized spectrum that every call shares is left as it was
-        assert convolve(sig, fir).tobytes() == convolve(sig, fir, 1.0).tobytes()
+        assert _convolve(sig, fir).tobytes() == _convolve(sig, fir, 1.0).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000), lpf_len=st.integers(1, 300),
+           rx_len=st.integers(1, 600), sps=st.integers(1, 6), start=st.integers(0, 4000),
+           count=st.sampled_from(["none", "one", "full", "past"]),
+           complex_signal=st.booleans(),
+           gain=st.floats(1.5e-154, 1e3), seed=st.integers(0, 2**32 - 1))
+    # the strategy's ends, whatever constants hypothesis mines: one sample
+    # through one-tap filters; the longest signal and filters at the widest
+    # decimation from the first output, and from past the last; the longest
+    # filters on one sample at sps 3 and 5, whose frames are no power of two;
+    # and the chain's LPF and rx filter at its kept symbols
+    @example(n=1, lpf_len=1, rx_len=1, sps=1, start=0, count="one", complex_signal=False,
+             gain=1.5e-154, seed=0)
+    @example(n=1, lpf_len=1, rx_len=1, sps=1, start=0, count="none", complex_signal=True,
+             gain=1e3, seed=0)
+    @example(n=3000, lpf_len=300, rx_len=600, sps=6, start=0, count="full",
+             complex_signal=True, gain=1e3, seed=2**32 - 1)
+    @example(n=3000, lpf_len=300, rx_len=600, sps=6, start=4000, count="full",
+             complex_signal=False, gain=1.5e-154, seed=2**32 - 1)
+    @example(n=1, lpf_len=300, rx_len=600, sps=3, start=0, count="full",
+             complex_signal=True, gain=1.0, seed=1)
+    @example(n=3000, lpf_len=300, rx_len=1, sps=5, start=1, count="full",
+             complex_signal=True, gain=1.0, seed=1)
+    @example(n=2000, lpf_len=257, rx_len=101, sps=4, start=551, count="full",
+             complex_signal=True, gain=0.1, seed=3)
+    def test_shared_pass_matches_oracles(self, n, lpf_len, rx_len, sps, start, count,
+                                         complex_signal, gain, seed):
+        # one forward transform per frame gives the filter's full output and
+        # its twin through the rx taps, decimated from start; a count past
+        # the end is cut there, and the twin's tolerance is on its output
+        # bound, as decimate's is
+        rng = np.random.default_rng(seed)
+        sig = rng.normal(size=n)
+        if complex_signal:
+            sig = sig + 1j * rng.normal(size=n)
+        lpf, rx = FirFilter(rng.normal(size=lpf_len)), rng.normal(size=rx_len)
+        want = reference_convolve(sig, lpf.taps) * gain
+        twin_want = reference_decimate(want, rx, sps, start, 10**9)
+        asked = {"none": 0, "one": 1, "full": len(twin_want), "past": len(twin_want) + 5}
+        out, twin = convolve(sig, lpf, gain, rx, sps, start, asked[count])
+        kept = min(asked[count], len(twin_want))
+        assert out.shape == want.shape
+        assert np.iscomplexobj(out) == complex_signal
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+        assert twin.shape == (kept,)
+        if kept:
+            bound = gain * np.max(np.abs(sig)) * np.sum(np.abs(np.convolve(lpf.taps, rx)))
+            assert np.max(np.abs(twin - twin_want[:kept])) <= 1e-12 * bound
+        # the framing is the same without a twin, so the output keeps its bits
+        assert convolve(sig, lpf, gain, rx, sps, start)[0].tobytes() == out.tobytes()
 
 
 class TestDecimate:
@@ -249,12 +307,13 @@ class TestDecimate:
         assert len(got) == count
         self._check(sig, taps, sps, 1, count)
 
-    # traced peaks in one signal's bytes, rx and LPF: 1.07 and 2.16 measured
-    # here, 1.32 and 3.17 when each phase row is first copied into its own
-    # zero-padded array, and 1.32 and 2.16 with interior frames read through
-    # a sliding-window view. The rx case filters two signals in turn and
-    # keeps the first output, as the chain does with its ADC output and the
-    # ADC-bypassed twin
+    # traced peaks in one signal's bytes, rx and LPF: 0.82 and 1.30 measured
+    # here with the outputs left in their frames (1.07 and 2.16 when they
+    # were copied out), 1.32 and 3.17 when each phase row is first copied
+    # into its own zero-padded array, and 1.32 and 2.16 with interior frames
+    # read through a sliding-window view. The rx case filters two signals in
+    # turn and keeps the first output, so one output is held while the next
+    # pass runs
     @pytest.mark.parametrize("num_signals,num_taps,sps,start,bound", [
         (2, 101, 4, 183, 1.2), (1, 257, 1, 0, 2.5)], ids=["rx", "lpf"])
     def test_frames_copy_no_phase_row(self, num_signals, num_taps, sps, start,
@@ -405,7 +464,7 @@ class TestTransforms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if stage == "convolve":
-                out = convolve(sig, super_gaussian_lpf())
+                out = _convolve(sig, super_gaussian_lpf())
             elif stage == "decimate":
                 out = decimate(sig, truncated_rrc(101).taps, 4, 100, 400)
             else:

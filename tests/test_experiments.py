@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqkdsim import cli, experiments, reinforce
+from cvqkdsim import cli, dsp, experiments, reinforce
 from cvqkdsim.config import (ConfigError, OptimizeRun, all_defaults, dataclass_from_dict,
                              load_records, load_sweep_spec)
 from cvqkdsim.experiments import (BudgetError, ReferencePoint, SweepSpec,
@@ -1139,6 +1139,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"budget refused: {message}")
         assert captured.err.count("\n") == 1 and "over the budget of" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    # an LPF whose design grid would exceed the per-chain budget is refused
+    # when its link is built, before the design runs: the design fails if
+    # reached. The 10^11-tap LPF fits the 10^15-symbol block, whose own
+    # budget check comes after the link is built
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_lpf_design_over_budget_is_refused_at_load(self, tmp_path, capsys,
+                                                       monkeypatch, command):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the LPF was designed")
+        monkeypatch.setattr(dsp, "super_gaussian_lpf", no_design)
+        link = {"num_symbols": 10**15, "lpf": {"num_taps": 10**11 + 1}}
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        path.write_text(json.dumps(link if command == "simulate" else {"env": link}))
+        args = {"simulate": ["simulate", "--config", str(path)],
+                "optimize": ["optimize", "--config", str(path), "--out", str(out)]}[command]
+        assert cli.main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("budget refused: lpf.num_taps=100000000001 is designed on "
+                                "a grid of 1099511627776 points, about 50331648 MiB of "
+                                "arrays, over the budget of 4096 MiB\n")
         assert captured.out == ""
         assert not out.exists()
 

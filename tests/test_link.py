@@ -207,9 +207,10 @@ class TestRunChain:
     def test_each_filter_spectrum_is_computed_once(self, monkeypatch):
         # every filter spectrum comes from dsp._tap_spectra, memoized by the
         # taps' bytes: two chains of one config (here on two seeds, as a
-        # batch's episodes share the filters) transform the LPF and the rx
-        # filter once each, and two interpolate calls the 1001-tap tx filter
-        # once; the 11-tap tx filter takes no spectrum
+        # batch's episodes share the filters) transform the LPF's combined
+        # response with the rx filter, which forms the ADC-bypassed twin,
+        # the LPF and the rx filter once each, and two interpolate calls the
+        # 1001-tap tx filter once; the 11-tap tx filter takes no spectrum
         computed, made = [], []
         spectra = dsp._spectra.__wrapped__
 
@@ -224,7 +225,8 @@ class TestRunChain:
         h_tx, h_rx = baseline_filters(cfg)
         for seed in (1, 2):
             run_chain(replace(cfg, seed=seed), h_tx, h_rx, 3.0)
-        assert computed == [(len(cfg.lpf_filter()), 1), (len(h_rx), cfg.sps)]
+        lpf = len(cfg.lpf_filter())
+        assert computed == [(lpf + len(h_rx) - 1, 1), (lpf, 1), (len(h_rx), cfg.sps)]
 
         tx = truncated_rrc(1001).taps
         symbols = dsp.generate_symbols(2_000, 3.0, seed=4)
@@ -236,8 +238,8 @@ class TestRunChain:
         # a hit is keyed by content, not identity, and gives the first bits
         spectrum = dsp._tap_spectra(h_rx.taps, cfg.sps)
         assert dsp._tap_spectra(h_rx.taps.copy(), cfg.sps).tobytes() == \
-            spectrum.tobytes() == made[1].tobytes()
-        assert len(computed) == 3
+            spectrum.tobytes() == made[2].tobytes()
+        assert len(computed) == 4
         assert not any(a.flags.writeable for a in made)
 
     def test_quantizers_can_be_bypassed(self):
@@ -331,8 +333,9 @@ class TestChainReports:
         for spec, noise in ((cfg.dac, dac_noise), (cfg.adc, adc_noise)):
             assert (noise > 0) == (spec is not None)
 
-    def test_one_mean_square_per_converter_and_no_twin(self, monkeypatch):
-        # the DAC's error at its output, the ADC's over the kept symbols
+    def test_one_mean_square_per_converter(self, monkeypatch):
+        # the DAC's error at its output, and rx minus its ADC-bypassed twin
+        # over the kept symbols
         lengths = []
         mean_square = link._mean_square
         monkeypatch.setattr(link, "_mean_square",
@@ -387,7 +390,7 @@ class TestChainBytes:
     def test_refuses_a_block_over_the_budget(self):
         cfg = LinkConfig()
         taps = cfg.tx_len + cfg.rx_len + cfg.lpf.num_taps
-        most = (MAX_CHAIN_BYTES - 1024 * taps) // (52 * (cfg.sps + 1))
+        most = (MAX_CHAIN_BYTES - 1536 * taps) // (44 * (cfg.sps + 1))
         assert chain_bytes(replace(cfg, num_symbols=most), 11, 101) <= MAX_CHAIN_BYTES
         with pytest.raises(BudgetError, match=rf"num_symbols={most + 1} at sps=4 with "
                                               r"11/101/257 tx/rx/LPF taps .* over the "
