@@ -150,7 +150,8 @@ def load_optimize_run(path: str | Path) -> OptimizeRun:
 def load_records(path: str | Path) -> list[RunRecord]:
     """The ``records.json`` that ``report`` rebuilds its CSVs from: a list
     of ``RunRecord`` objects, each of a sweep kind and with every column of
-    its kind's CSV in its outputs, each number of them finite."""
+    its kind's CSV in its outputs: ``mode`` is ``unoptimized`` or
+    ``optimized``, and every other column a finite number, not a bool."""
     raw = load_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of records")
@@ -165,8 +166,12 @@ def load_records(path: str | Path) -> list[RunRecord]:
             if column not in rec.outputs:
                 raise ConfigError(f"record {i}.outputs: no {column!r} for the "
                                   f"{rec.kind} CSV")
-            if isinstance(rec.outputs[column], float):
-                _convert(rec.outputs[column], float, f"record {i}.outputs.{column}")
+            value, where = rec.outputs[column], f"record {i}.outputs.{column}"
+            if column != "mode":
+                _convert(value, float, where)
+            elif value not in ("unoptimized", "optimized"):
+                raise ConfigError(f"{where}: expected 'unoptimized' or 'optimized', "
+                                  f"got {value!r}")
     return records
 
 

@@ -17,7 +17,7 @@ from .dsp import FirFilter
 from .keyrate import DEFAULT_BETA, SkrInputs
 from .quantization import QuantizationReport, QuantizerSpec, _mean_square, _rail_dot, convert
 # looked up here by perfbench/tracing.py only; the chain calls ``convert``
-# and takes its noise figures with ``_mean_square`` (ROADMAP item 3)
+# and takes the ADC's noise with ``_mean_square`` (ROADMAP item 3)
 from .quantization import clip_fraction, full_scale, measure_noise, quantize  # noqa: F401
 
 # the fewest pairs estimate_parameters takes: every block keeps this many
@@ -274,21 +274,22 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     the next stage has it.
     Each converter is one ``quantization.convert`` call: its full scale is
     frozen from its unquantized input, and it quantizes in one blocked
-    pass. With reports it also counts the clips and leaves its error in its
-    input, which the chain gives up. The DAC's noise is the mean square of
-    its error at the DAC plane. The ADC's is the mean square of rx - Y over
-    the kept symbols: Y is the ADC-bypassed twin of rx, which the LPF's
-    pass forms from its own frame transforms through the combined LPF and
-    rx response, so no second rx pass filters the ADC's error.
+    pass. With reports the DAC's call also leaves its error in its input,
+    which the chain gives up, and returns the DAC report: the mean square
+    of that error at the DAC plane. The ADC converts without a report; its
+    noise is the mean square of rx - Y over the kept symbols, where Y is
+    the ADC-bypassed twin of rx, which the LPF's pass forms from its own
+    frame transforms through the combined LPF and rx response, so the ADC's
+    error is never formed or filtered.
     A bypassed converter reports zero. Edge symbols inside the filter
     transient are trimmed. Non-finite received symbols raise ``ValueError``.
 
     With ``reports=False`` both reports are None, and the chain skips the
-    work only they need: the clip counts, the errors and their mean squares,
-    and the twin. The LPF's pass keeps its framing, the converters still
-    load their full scales and quantize, and ``decimate`` filters each
-    signal on its own, so the symbols and the ISI profile are the same bits
-    as with reports.
+    work only they need: the DAC's error and its mean square, and the twin
+    and its mean square. The LPF's pass keeps its framing, the converters
+    still load their full scales and quantize, and ``decimate`` filters
+    each signal on its own, so the symbols and the ISI profile are the same
+    bits as with reports.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
@@ -299,7 +300,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     # convolution holds at least num_symbols * sps samples
     margin = transient_margin(config, len(h_tx), len(h_rx))
     sl = slice(margin, config.num_symbols - margin)
-    bypassed = QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+    bypassed = QuantizationReport(noise_power=0.0)
     dac_report = adc_report = bypassed if reports else None
 
     symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
@@ -307,9 +308,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
 
     if config.dac is not None:
         # shaped dies here; with reports it holds the DAC's error
-        after_dac, dac_clips = convert(shaped, config.dac, reports)
-        if reports:
-            dac_report = QuantizationReport(_mean_square(shaped), dac_clips)
+        after_dac, dac_report = convert(shaped, config.dac, reports)
     else:
         after_dac = shaped
     del shaped
@@ -323,7 +322,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     del after_dac
 
     if config.adc is not None:
-        after_adc, adc_clips = convert(attenuated, config.adc, reports)
+        after_adc, _ = convert(attenuated, config.adc)
     else:
         after_adc = attenuated
     del attenuated
@@ -332,7 +331,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
     if twin_count:
-        adc_report = QuantizationReport(_mean_square(twin - rx[sl]), adc_clips)
+        adc_report = QuantizationReport(_mean_square(twin - rx[sl]))
     return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
                        dac_report=dac_report, adc_report=adc_report, isi=isi)
 

@@ -4,10 +4,11 @@ Signals are plain numpy arrays, real or complex. The full-scale amplitude
 is loaded from the signal itself, A = kappa * sigma with sigma the pooled
 RMS of the real rails, read in one ``_mean_square`` pass. The chain runs
 each converter as one ``convert`` call: that load, then one blocked pass
-that quantizes and, for the reports, counts clips and leaves the signed
-error x - q in the spent input. ``full_scale``, ``quantize`` and
-``clip_fraction`` are the same steps one at a time; ``measure_noise``
-compares against a kept input.
+that quantizes and, for a report, leaves the signed error x - q in the
+spent rails, whose mean square is the report's noise power.
+``full_scale`` and ``quantize`` are the same steps one at a time;
+``measure_noise`` compares against a kept input, and ``clip_fraction``
+counts the rails at or beyond the full scale.
 """
 
 from __future__ import annotations
@@ -50,26 +51,18 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class QuantizationReport:
-    """Measured quantizer impact: mean-square error and clipping rate.
-
-    noise_power is E[|y_q - y_ref|^2] per complex sample in photon-number
-    units (both rails summed); clip_fraction is the fraction of rail samples
-    at or beyond the full-scale amplitude.
-    """
+    """Measured quantizer noise: noise_power is E[|y_q - y_ref|^2] per
+    complex sample in photon-number units (both rails summed)."""
 
     noise_power: float
-    clip_fraction: float = 0.0
 
     def __post_init__(self):
         if self.noise_power < 0:
             raise ValueError("noise_power must be non-negative")
-        if not 0.0 <= self.clip_fraction <= 1.0:
-            raise ValueError("clip_fraction must lie in [0, 1]")
 
 
 # rails per block of the converter pass: a block's input and output (256 KB
-# each) stay in L2 while the block is quantized, clip-counted and turned into
-# its error
+# each) stay in L2 while the block is quantized and turned into its error
 _BLOCK = 1 << 15
 
 
@@ -122,41 +115,36 @@ def quantize(sig: np.ndarray, spec: QuantizerSpec, full_scale: float) -> np.ndar
 
 
 def convert(sig: np.ndarray, spec: QuantizerSpec,
-            reports: bool = False) -> tuple[np.ndarray, float | None]:
+            reports: bool = False) -> tuple[np.ndarray, QuantizationReport | None]:
     """One converter in one pass over blocks of rails: load the full scale
-    from ``sig``, quantize, and with ``reports`` count clips and keep errors.
+    from ``sig``, quantize, and with ``reports`` measure the noise.
 
-    Returns ``(quantized, clip_fraction)``. The full scale is
+    Returns ``(quantized, report)``. The full scale is
     ``full_scale(sig, spec)``, one ``_mean_square`` read of the rails, and
     the output is ``quantize(sig, spec, A)`` bit for bit.
-    Without ``reports`` the clip fraction is None and ``sig`` is left as it
-    is. With it, the clips (``clip_fraction(sig, A)``, exactly) are counted
-    and each rail x of ``sig`` is overwritten with its signed error x - q
-    while its block is in cache; the caller gives ``sig`` up. So that the
-    error never lands in a copy, ``reports`` refuses a ``sig`` whose rails
-    are not a view of it (a float64 or a contiguous complex128 array).
-    Besides the output, the pass allocates less than one block.
+    Without ``reports`` the report is None and ``sig`` is left as it is.
+    With it, each rail x is overwritten with its signed error x - q while
+    its block is in cache, and the report's noise power is the mean square
+    of those errors per sample of ``sig``. The rails are ``sig`` itself for
+    a float64 or a contiguous complex128 signal, which the caller gives up;
+    for any other signal they are a copy, and ``sig`` is left as it is.
+    Besides the output and that copy, the pass allocates less than one
+    block.
     """
     if len(sig) == 0:
         raise ValueError("cannot quantize an empty signal")
     x = _rails(sig)
-    if reports and not np.may_share_memory(x, sig):
-        raise ValueError("reports leave the error in the signal's rails, which "
-                         "need a float64 or a contiguous complex128 signal")
     out = np.empty(len(sig), dtype=complex if np.iscomplexobj(sig) else float)
-    rails = out.view(float)
-    clipped = _quantize_blocks(x, rails, spec, _load(x, spec), reports)
-    return out, clipped / rails.size if reports else None
+    _quantize_blocks(x, out.view(float), spec, _load(x, spec), reports)
+    return out, (QuantizationReport(_rail_dot(x, x) / len(sig)) if reports else None)
 
 
 def _quantize_blocks(rails: np.ndarray, out: np.ndarray, spec: QuantizerSpec,
-                     full_scale: float, reports: bool = False) -> int:
+                     full_scale: float, reports: bool = False) -> None:
     """Quantize ``rails`` into ``out`` block by block; with ``reports``
-    count the rails at or beyond +/-A and overwrite each block of ``rails``
-    with its error ``x - q``. Returns the clip count."""
+    overwrite each block of ``rails`` with its error ``x - q``."""
     delta = spec.step(full_scale)
     half_levels = 1 << (spec.bits - 1)
-    clipped = 0
     for i in range(0, len(rails), _BLOCK):
         x, q = rails[i:i + _BLOCK], out[i:i + _BLOCK]
         np.divide(x, delta, out=q)
@@ -165,10 +153,7 @@ def _quantize_blocks(rails: np.ndarray, out: np.ndarray, spec: QuantizerSpec,
         q += 0.5
         q *= delta
         if reports:
-            clipped += (np.count_nonzero(x >= full_scale)
-                        + np.count_nonzero(x <= -full_scale))
             np.subtract(x, q, out=x)
-    return clipped
 
 
 def clip_fraction(sig: np.ndarray, full_scale_amplitude: float) -> float:

@@ -203,7 +203,8 @@ def sample_episode(policy: PolicyState, env: LinkConfig, episode_seed: int,
     the chain's symbols (the optimizer loop passes one derived seed shared
     by the whole batch). Chain failures become episodes with an error flag,
     so that a non-physical sample cannot abort the optimizer;
-    ``reinforce_update`` ranks them below every valid episode of their batch.
+    ``reinforce_update`` gives them the lowest valid reward of their batch,
+    a tie with its worst valid episode.
     """
     rng = np.random.default_rng(episode_seed)
     raw_tx = policy.theta_tx + policy.sigma.tx * rng.standard_normal(len(policy.theta_tx))

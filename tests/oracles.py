@@ -195,9 +195,9 @@ def reference_clip_fraction(sig: np.ndarray, full_scale: float) -> float:
 
 
 def reference_chain_reports(config, h_tx: np.ndarray, h_rx: np.ndarray,
-                            mean_photon: float) -> tuple[float, float, float, float]:
-    """``(dac_noise, dac_clips, adc_noise, adc_clips)`` of one chain, built
-    from the reference steps above; a bypassed converter gives zeros.
+                            mean_photon: float) -> tuple[float, float]:
+    """``(dac_noise, adc_noise)`` of one chain, built from the reference
+    steps above; a bypassed converter gives zero.
 
     The DAC noise is E|q - x|^2 at the DAC output. The ADC noise compares
     the rx-filtered chain output with a twin filtered without the ADC, on
@@ -209,10 +209,9 @@ def reference_chain_reports(config, h_tx: np.ndarray, h_rx: np.ndarray,
 
     def converter(x, spec):
         if spec is None:
-            return x, 0.0
+            return x
         full_scale = reference_full_scale(x, spec.clipping_factor)
-        return (reference_quantize(x, spec.bits, full_scale),
-                reference_clip_fraction(x, full_scale))
+        return reference_quantize(x, spec.bits, full_scale)
 
     def rx_filter(x):
         kept = reference_decimate(x, h_rx, sps, delay, config.num_symbols)
@@ -220,11 +219,11 @@ def reference_chain_reports(config, h_tx: np.ndarray, h_rx: np.ndarray,
 
     symbols = reference_symbols(config.num_symbols, mean_photon, config.seed)
     shaped = reference_interpolate(symbols, h_tx, sps)
-    after_dac, dac_clips = converter(shaped, config.dac)
+    after_dac = converter(shaped, config.dac)
     attenuated = reference_convolve(after_dac, lpf) * np.sqrt(config.channel_transmittance)
-    after_adc, adc_clips = converter(attenuated, config.adc)
-    return (reference_noise_power(after_dac, shaped), dac_clips,
-            reference_noise_power(rx_filter(after_adc), rx_filter(attenuated)), adc_clips)
+    after_adc = converter(attenuated, config.adc)
+    return (reference_noise_power(after_dac, shaped),
+            reference_noise_power(rx_filter(after_adc), rx_filter(attenuated)))
 
 
 def reference_photon_scan(env, grid, h_tx, h_rx, beta: float) -> tuple[dict, list[dict]]:

@@ -1055,8 +1055,34 @@ class TestCli:
         ([{"kind": "photon-scan", "config": {}, "seed": 1, "wall_time_s": 0.1,
            "outputs": {"n_photon": float("inf"), "skr_bits_per_symbol": 0.5}}],
          "record 0.outputs.n_photon: expected a finite number, got inf"),
+        # every column but mode is a number, and mode one of the two record
+        # modes: a string, list, bool or null, or a mode holding a comma or a
+        # newline, would write a broken CSV
+        ([{"kind": "photon-scan", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"n_photon": 1.0, "skr_bits_per_symbol": "abc"}}],
+         "record 0.outputs.skr_bits_per_symbol: expected a number, got 'abc'"),
+        ([{"kind": "photon-scan", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"n_photon": [1, 2], "skr_bits_per_symbol": 0.5}}],
+         "record 0.outputs.n_photon: expected a number, got [1, 2]"),
+        ([{"kind": "bits-sweep", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"bits": True, "mode": "optimized", "skr_bits_per_symbol": 0.5,
+                       "tau": 0.01, "n_ex": 0.02}}],
+         "record 0.outputs.bits: expected a number, got True"),
+        ([{"kind": "distance-sweep", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"distance_km": 50.0, "mode": "optimized", "skr_bits_per_symbol": None,
+                       "tau": 0.01, "n_ex": 0.02}}],
+         "record 0.outputs.skr_bits_per_symbol: expected a number, got None"),
+        ([{"kind": "bits-sweep", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"bits": 8, "mode": "a,b\nc", "skr_bits_per_symbol": 0.5,
+                       "tau": 0.01, "n_ex": 0.02}}],
+         "record 0.outputs.mode: expected 'unoptimized' or 'optimized', got 'a,b\\nc'"),
+        ([{"kind": "taps-bits-grid", "config": {}, "seed": 1, "wall_time_s": 0.1,
+           "outputs": {"taps": 41, "bits": 8, "mode": "both", "skr_bits_per_symbol": 0.5,
+                       "gap": 0.1}}],
+         "record 0.outputs.mode: expected 'unoptimized' or 'optimized', got 'both'"),
     ], ids=["unknown_key", "not_a_list", "missing_column", "unknown_kind", "outputs_list",
-            "NaN", "Infinity"])
+            "NaN", "Infinity", "string", "list", "bool", "null", "mode_comma_newline",
+            "mode_both"])
     def test_malformed_records_are_config_error(self, tmp_path, capsys, records, message):
         path = tmp_path / "records.json"
         path.write_text(json.dumps(records))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_chain_reports, reference_isi
 
-from cvqkdsim import dsp, link
+from cvqkdsim import dsp, link, quantization
 from cvqkdsim.dsp import FirFilter, rrc_filter, truncated_rrc
 from cvqkdsim.keyrate import SkrInputs
 from cvqkdsim.link import (MAX_CHAIN_BYTES, BudgetError, IsiProfile, LinkConfig,
@@ -183,8 +183,8 @@ class TestRunChain:
         # the filters and the loss are linear, and the converters load their
         # full scale from the signal, so every sample scales by sqrt(n / n0)
         # and x / Delta is unchanged up to a few ulp. The one exception: a
-        # quantizer decision (or a clip test) flips when x / Delta sits
-        # within a few ulp of a level edge; no drawn example hits one.
+        # quantizer decision flips when x / Delta sits within a few ulp of a
+        # level edge; no drawn example hits one.
         quant = QuantizerSpec(bits) if bits is not None else None
         cfg = LinkConfig(distance_km=distance_km, sps=sps, lpf=LpfConfig(num_taps=lpf_taps),
                          dac=quant, adc=quant, tx_len=tx_len, rx_len=rx_len,
@@ -200,7 +200,6 @@ class TestRunChain:
         assert (res.isi.c0_sq, res.isi.isi_sum) == (base.isi.c0_sq, base.isi.isi_sum)
         for got, ref in ((res.dac_report, base.dac_report),
                          (res.adc_report, base.adc_report)):
-            assert got.clip_fraction == ref.clip_fraction
             assert got.noise_power == pytest.approx(ref.noise_power * n / n0,
                                                     rel=1e-9)
 
@@ -265,7 +264,7 @@ class TestRunChain:
                          tx_len=11, rx_len=41, seed=2)
         res = run_chain(cfg, *baseline_filters(cfg), 6.0)
         assert len(rx_calls) == 1
-        assert res.adc_report == QuantizationReport(noise_power=0.0, clip_fraction=0.0)
+        assert res.adc_report == QuantizationReport(noise_power=0.0)
 
     @pytest.mark.parametrize("overrides", [
         {}, {"dac": None}, {"adc": None},
@@ -314,36 +313,57 @@ class TestChainReports:
          "tx_len": 1001, "rx_len": 1001}],
         ids=["10_bit", "4_bit", "dac_only", "adc_only", "1001_taps_16_bit"])
     def test_match_their_definition(self, overrides):
-        # the chain takes each converter's noise as the mean square of its
-        # signed error (the ADC's filtered by the rx FIR); the oracle takes
-        # the DAC's against its input and the ADC's as rx minus an
-        # ADC-bypassed twin, so they agree to rounding (5e-13 at worst here).
-        # No sample sits within rounding of the full scale, so the clip
-        # counts match exactly.
+        # the chain takes the DAC's noise as the mean square of its signed
+        # error and the ADC's as rx minus the LPF pass's ADC-bypassed twin;
+        # the oracle takes the DAC's against its input and the ADC's as rx
+        # minus a twin filtered without the ADC, so they agree to rounding
+        # (5e-13 at worst here)
         cfg = LinkConfig(**{**dict(distance_km=30.0, tx_len=11, rx_len=101,
                                    num_symbols=3_000, seed=8), **overrides})
         h_tx, h_rx = baseline_filters(cfg)
         res = run_chain(cfg, h_tx, h_rx, 3.0)
-        dac_noise, dac_clips, adc_noise, adc_clips = reference_chain_reports(
-            cfg, h_tx.taps, h_rx.taps, 3.0)
-        assert res.dac_report.clip_fraction == dac_clips
-        assert res.adc_report.clip_fraction == adc_clips
+        dac_noise, adc_noise = reference_chain_reports(cfg, h_tx.taps, h_rx.taps, 3.0)
         assert res.dac_report.noise_power == pytest.approx(dac_noise, rel=1e-9, abs=0)
         assert res.adc_report.noise_power == pytest.approx(adc_noise, rel=1e-9, abs=0)
         for spec, noise in ((cfg.dac, dac_noise), (cfg.adc, adc_noise)):
             assert (noise > 0) == (spec is not None)
 
     def test_one_mean_square_per_converter(self, monkeypatch):
-        # the DAC's error at its output, and rx minus its ADC-bypassed twin
-        # over the kept symbols
-        lengths = []
-        mean_square = link._mean_square
-        monkeypatch.setattr(link, "_mean_square",
-                            lambda sig: lengths.append(len(sig)) or mean_square(sig))
+        # every sum of the chain is one _rail_dot: each converter's load,
+        # the DAC's error at its output (inside its convert call), and rx
+        # minus its ADC-bypassed twin over the kept symbols
+        sums = []
+        rail_dot = quantization._rail_dot
+        monkeypatch.setattr(quantization, "_rail_dot",
+                            lambda x, y: sums.append(len(x)) or rail_dot(x, y))
         monkeypatch.setattr(link, "measure_noise", None)
         cfg = LinkConfig(distance_km=10.0, num_symbols=5_000, tx_len=11, rx_len=41)
         res = run_chain(cfg, *baseline_filters(cfg), 6.0)
-        assert lengths == [5_000 * cfg.sps + 10, len(res.rx_symbols)]
+        shaped = 5_000 * cfg.sps + 10
+        attenuated = shaped + cfg.lpf.num_taps - 1
+        assert sums == [2 * shaped, 2 * shaped, 2 * attenuated, len(res.rx_symbols)]
+
+    def test_only_the_dac_converts_with_reports(self, monkeypatch):
+        # the DAC's report comes from its convert call, and the ADC's from
+        # the twin, so the ADC converts without forming its error; the
+        # reward chain asks neither converter for a report
+        calls = []
+        convert = link.convert
+
+        def converting(sig, spec, reports=False):
+            calls.append((spec.bits, reports))
+            return convert(sig, spec, reports)
+
+        monkeypatch.setattr(link, "convert", converting)
+        cfg = LinkConfig(distance_km=10.0, num_symbols=5_000, tx_len=11, rx_len=41,
+                         dac=QuantizerSpec(bits=8), adc=QuantizerSpec(bits=6))
+        h_tx, h_rx = baseline_filters(cfg)
+        res = run_chain(cfg, h_tx, h_rx, 6.0)
+        assert calls == [(8, True), (6, False)]
+        assert res.dac_report.noise_power > 0 and res.adc_report.noise_power > 0
+        calls.clear()
+        run_chain(cfg, h_tx, h_rx, 6.0, reports=False)
+        assert calls == [(8, False), (6, False)]
 
 
 class TestTransientMargin:
@@ -616,7 +636,6 @@ class TestEveryLinkThatConstructsRuns:
                 est = estimate_parameters(res.tx_symbols, res.rx_symbols)
                 values = [res.isi.c0_sq, res.isi.isi_sum, est.tau_hat, est.n_ex_hat]
                 if reports:
-                    values += [res.dac_report.noise_power, res.dac_report.clip_fraction,
-                               res.adc_report.noise_power, res.adc_report.clip_fraction]
+                    values += [res.dac_report.noise_power, res.adc_report.noise_power]
                 assert np.all(np.isfinite(res.rx_symbols))
                 assert np.all(np.isfinite(values))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -10,8 +11,8 @@ from oracles import (reference_clip_fraction, reference_full_scale,
                      reference_noise_power, reference_quantize)
 
 from cvqkdsim.quantization import (_BLOCK, CLIPPING_RANGE, MAX_BITS, QuantizationReport,
-                                   QuantizerSpec, clip_fraction, convert, full_scale,
-                                   measure_noise, quantize)
+                                   QuantizerSpec, _mean_square, clip_fraction, convert,
+                                   full_scale, measure_noise, quantize)
 
 
 def _gaussian_rail(n, sigma=1.0, seed=0, complex_signal=False):
@@ -198,8 +199,8 @@ class TestMeasureNoise:
     def test_report_validation(self):
         with pytest.raises(ValueError):
             QuantizationReport(noise_power=-1.0)
-        with pytest.raises(ValueError):
-            QuantizationReport(noise_power=0.0, clip_fraction=1.5)
+        # the noise power is the one figure the chain reads
+        assert [f.name for f in dataclasses.fields(QuantizationReport)] == ["noise_power"]
 
 
 class TestNoiseScaling:
@@ -320,16 +321,19 @@ class TestMatchesRailOracle:
             assert a == pytest.approx(reference_full_scale(sig, kappa), rel=FULL_SCALE_RTOL)
             want = reference_quantize(sig, bits, a)
             kept = sig.copy()
-            out, frac = convert(kept, spec)
+            out, report = convert(kept, spec)
             assert out.dtype == sig.dtype
-            assert (out.tobytes(), frac) == (want.tobytes(), None)
+            assert (out.tobytes(), report) == (want.tobytes(), None)
             assert kept.tobytes() == sig.tobytes()  # no reports, no error formed
             spent = sig.copy()
-            out, frac = convert(spent, spec, reports=True)
+            out, report = convert(spent, spec, reports=True)
             assert out.tobytes() == want.tobytes()
-            assert frac == reference_clip_fraction(sig, a)
-            # the spent input holds the signed error x - q, rail for rail
+            # the spent input holds the signed error x - q, rail for rail,
+            # and the report is its mean square
             assert spent.tobytes() == (sig - want).tobytes()
+            assert report == QuantizationReport(_mean_square(spent))
+            assert report.noise_power == pytest.approx(reference_noise_power(want, sig),
+                                                       rel=1e-12)
 
     @pytest.mark.parametrize("complex_signal", [False, True])
     def test_converter_on_decision_boundaries(self, complex_signal):
@@ -346,17 +350,15 @@ class TestMatchesRailOracle:
         kappa = next(k for k in near if k * rms == a)
         spec = QuantizerSpec(bits=4, clipping_factor=float(kappa))
         spent = sig.copy()
-        out, frac = convert(spent, spec, reports=True)
+        out, report = convert(spent, spec, reports=True)
         want = reference_quantize(sig, 4, a)
         assert out.tobytes() == want.tobytes()
-        # the outermost edges sit exactly at |x| = A
-        assert frac == reference_clip_fraction(sig, a) > 0
         assert spent.tobytes() == (sig - want).tobytes()
+        assert report == QuantizationReport(_mean_square(spent))
 
     def test_converter_strided_input(self):
         # a strided float signal's rails are the signal itself, so the error
-        # is left in place; a strided complex signal's rails are a copy, so
-        # the error would be lost and reports refuse it
+        # is left in place
         base = _gaussian_rail(6001, seed=13, complex_signal=True)
         before = base.copy()
         spec = QuantizerSpec(bits=6, clipping_factor=2.0)
@@ -365,23 +367,33 @@ class TestMatchesRailOracle:
         assert a == pytest.approx(reference_full_scale(before.real[::3], 2.0),
                                   rel=FULL_SCALE_RTOL)
         want = reference_quantize(before.real[::3], 6, a)
-        out, frac = convert(sig, spec, reports=True)
+        out, report = convert(sig, spec, reports=True)
         assert out.tobytes() == want.tobytes()
-        assert frac == reference_clip_fraction(before.real[::3], a) > 0
         assert sig.tobytes() == (before.real[::3] - want).tobytes()
+        assert report == QuantizationReport(_mean_square(sig))
         untouched = np.ones(len(base), dtype=bool)
         untouched[::3] = False
         assert base[untouched].tobytes() == before[untouched].tobytes()
         assert base.imag.tobytes() == before.imag.tobytes()
-        for refused in (base[::3], before.real.astype(np.float32)):
-            kept = refused.copy()
-            with pytest.raises(ValueError, match="contiguous complex128"):
-                convert(refused, spec, reports=True)
-            out, frac = convert(refused, spec)
-            a = full_scale(kept, spec)
-            assert a == pytest.approx(reference_full_scale(kept, 2.0), rel=FULL_SCALE_RTOL)
-            assert np.array_equal(out, reference_quantize(kept, 6, a)) and frac is None
-            assert refused.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("layout", ["strided_complex", "float32"])
+    def test_converter_reports_from_a_copy_of_the_rails(self, layout):
+        # a strided complex or a float32 signal's rails are a copy: the
+        # error lands there, is measured there, and the signal is untouched
+        base = _gaussian_rail(6001, seed=13, complex_signal=True)
+        sig = base[::3] if layout == "strided_complex" else base.real.astype(np.float32)
+        kept = sig.copy()
+        spec = QuantizerSpec(bits=6, clipping_factor=2.0)
+        out, report = convert(sig, spec, reports=True)
+        a = full_scale(kept, spec)
+        assert a == pytest.approx(reference_full_scale(kept, 2.0), rel=FULL_SCALE_RTOL)
+        want = reference_quantize(kept, 6, a)
+        assert np.array_equal(out, want)
+        assert report.noise_power == pytest.approx(reference_noise_power(want, kept),
+                                                   rel=1e-12)
+        assert sig.tobytes() == kept.tobytes()
+        out, report = convert(sig, spec)
+        assert np.array_equal(out, want) and report is None
 
     @pytest.mark.parametrize("reports", [False, True])
     def test_converter_allocates_the_output_and_one_block(self, reports):
