@@ -12,8 +12,7 @@ from .keyrate import (DEFAULT_BETA, SkrInputs, TwoModeCovariance,
 from .link import (ChainResult, IsiProfile, LinkConfig, NoiseBudget,
                    ParameterEstimate, assemble_budget, baseline_filters,
                    effective_response, estimate_parameters, run_chain)
-from .quantization import (QuantizationReport, QuantizerSpec, measure_noise,
-                           quantize)
+from .quantization import QuantizerSpec, measure_noise, quantize
 from .reinforce import (Episode, GroupRates, GroupSigmas, OptimizeResult,
                         OptimizerConfig, PolicyState, TransceiverParams,
                         chain_reward, optimize, reinforce_search,

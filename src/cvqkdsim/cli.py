@@ -7,12 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 budget refusal,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import config as cfg
-from .experiments import (BudgetError, report, run_sweep, save_records,
+from .experiments import (BudgetError, _to_json, report, run_sweep, save_records,
                           write_trace_csv)
 from .keyrate import DEFAULT_BETA, SkrInputs, secure_key_rate
 from .link import (assemble_budget, baseline_filters, estimate_parameters,
@@ -41,7 +40,7 @@ def _cmd_simulate(args) -> int:
     skr_analytic = secure_key_rate(SkrInputs(
         mean_photon=args.mean_photon, transmittance=budget.transmittance,
         excess_photons=budget.total, beta=args.beta))
-    print(json.dumps({
+    print(_to_json({
         "distance_km": link.distance_km,
         "mean_photon": args.mean_photon,
         "beta": args.beta,
@@ -50,7 +49,7 @@ def _cmd_simulate(args) -> int:
         "transmittance": budget.transmittance,
         "estimated": {"tau_hat": est.tau_hat, "n_ex_hat": est.n_ex_hat},
         "skr_bits_per_symbol": {"estimated": skr_est, "analytic": skr_analytic},
-    }, indent=2))
+    }))
     return EXIT_OK
 
 
@@ -62,12 +61,12 @@ def _cmd_optimize(args) -> int:
         sigma=opt.sigma_init)
     result = optimize(run.env, init, opt, workers=args.workers)
     write_trace_csv(result.trace, args.out)
-    print(json.dumps({
+    print(_to_json({
         "best_reward": result.best_reward,
         "best_mean_photon": result.best_params.mean_photon,
         "iterations": opt.iterations,
         "trace_csv": str(args.out),
-    }, indent=2))
+    }))
     return EXIT_OK
 
 
@@ -77,20 +76,19 @@ def _cmd_sweep(args) -> int:
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     save_records(records, f"{args.out_dir}/records.json")
     paths = report(records, args.out_dir)
-    print(json.dumps({"records": len(records),
-                      "files": [str(p) for p in paths]}, indent=2))
+    print(_to_json({"records": len(records), "files": [str(p) for p in paths]}))
     return EXIT_OK
 
 
 def _cmd_defaults(_args) -> int:
-    print(json.dumps(cfg.all_defaults(), indent=2, sort_keys=True))
+    print(_to_json(cfg.all_defaults(), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     records = cfg.load_records(args.records)
     paths = report(records, args.out_dir)
-    print(json.dumps({"files": [str(p) for p in paths]}, indent=2))
+    print(_to_json({"files": [str(p) for p in paths]}))
     return EXIT_OK
 
 

@@ -149,9 +149,10 @@ def load_optimize_run(path: str | Path) -> OptimizeRun:
 
 def load_records(path: str | Path) -> list[RunRecord]:
     """The ``records.json`` that ``report`` rebuilds its CSVs from: a list
-    of ``RunRecord`` objects, each of a sweep kind and with every column of
-    its kind's CSV in its outputs: ``mode`` is ``unoptimized`` or
-    ``optimized``, and every other column a finite number, not a bool."""
+    of ``RunRecord`` objects, each of a sweep kind, with every number in its
+    ``config`` finite and every column of its kind's CSV in its outputs:
+    ``mode`` is ``unoptimized`` or ``optimized``, and every other column a
+    finite number, not a bool."""
     raw = load_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of records")
@@ -160,6 +161,7 @@ def load_records(path: str | Path) -> list[RunRecord]:
     for i, rec in enumerate(records):
         if rec.kind not in SWEEP_KINDS:
             raise ConfigError(f"record {i}.kind: unknown sweep kind {rec.kind!r}")
+        _check_finite(rec.config, f"record {i}.config")
         for column in CSV_SCHEMAS[rec.kind].split(","):
             if column == "seed":
                 continue
@@ -173,6 +175,19 @@ def load_records(path: str | Path) -> list[RunRecord]:
                 raise ConfigError(f"{where}: expected 'unoptimized' or 'optimized', "
                                   f"got {value!r}")
     return records
+
+
+def _check_finite(value, path: str) -> None:
+    """``_convert``'s finite check on every number in ``value``, through
+    nested objects and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for j, item in enumerate(value):
+            _check_finite(item, f"{path}[{j}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        _convert(value, float, path)
 
 
 def all_defaults() -> dict:

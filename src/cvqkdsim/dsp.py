@@ -102,11 +102,10 @@ _QUIET = np.errstate(invalid="ignore", over="ignore")
 
 
 @_QUIET
-def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0, rx_taps=(1.0,),
-             sps: int = 1, start: int = 0,
-             count: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Full linear convolution of a signal with an FIR filter, times ``gain``,
-    and from the same transforms its twin through ``rx_taps``,
+def convolve(sig: np.ndarray, fir: FirFilter, rx_taps=(1.0,), sps: int = 1,
+             start: int = 0, count: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Full linear convolution of a signal with an FIR filter, and from the
+    same transforms its twin through ``rx_taps``,
     ``decimate(out, rx_taps, sps, start, count)``. Returns ``(out, twin)``.
 
     The signal runs through one overlap-save pass framed for the combined
@@ -119,20 +118,18 @@ def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0, rx_taps=(1.0,),
     in every frame are the twin's. Each frame spectrum then serves two
     products:
     - the filter's: times its memoized spectrum (``_tap_spectra``, the
-      inverse transform's 1/n folded in) scaled by ``gain`` in its few bins,
-      then one unnormalized full-rate inverse. A real input gives a real
-      ``out``;
-    - the twin's, only for ``count > 0``: times the gain-scaled spectrum of
+      inverse transform's 1/n folded in), then one unnormalized full-rate
+      inverse. A real input gives a real ``out``;
+    - the twin's, only for ``count > 0``: times the memoized spectrum of
       the combined taps, summed over its ``sps`` aliases in one ``einsum``
       (no BLAS; the frequency-domain dual of ``decimate``'s polyphase rows,
       Crochiere & Rabiner), then one N/sps-point inverse. ``count`` is cut
       at the end of the combined convolution, as in ``decimate``.
     Each inverse leaves its outputs in its own frames (``_kept``). The
     framing does not depend on ``count``, so ``out`` is the same bits with a
-    twin and without. The chain calls it for the LPF, with the channel loss
-    sqrt(tau_ch) as the gain and the rx filter's taps: the twin is its rx
-    output without the ADC. The tx filter runs through ``interpolate`` and
-    the rx filter through ``decimate``.
+    twin and without. The chain calls it for the LPF with the rx filter's
+    taps: the twin is its rx output without the ADC. The tx filter runs
+    through ``interpolate`` and the rx filter through ``decimate``.
     """
     if sps < 1:
         raise ValueError(f"sps must be >= 1, got {sps}")
@@ -155,14 +152,13 @@ def convolve(sig: np.ndarray, fir: FirFilter, gain: float = 1.0, rx_taps=(1.0,),
     frames = _frame_spectra(sig, overlap + lead, num_frames, step, nfft)
     twin = np.zeros(0, dtype=complex)
     if count:
-        spectrum = _tap_spectra(np.convolve(fir.taps, rx_taps), 1, nfft) * gain
+        spectrum = _tap_spectra(np.convolve(fir.taps, rx_taps), 1, nfft)
         f0, f1 = first // rows, -(-(first + count) // rows)
         folded = np.einsum("frm,rm->fm", frames[f0:f1].reshape(f1 - f0, sps, -1),
                            spectrum.reshape(sps, -1))
-        del spectrum
         np.fft.ifft(folded, axis=-1, out=folded, norm="forward")
         twin = _kept(folded, overlap // sps)[first - f0 * rows:][:count]
-    frames *= _tap_spectra(fir.taps, 1, nfft) * gain
+    frames *= _tap_spectra(fir.taps, 1, nfft)
     np.fft.ifft(frames, axis=-1, out=frames, norm="forward")
     out = _kept(frames, overlap)[lead:lead + full_len]
     return out if np.iscomplexobj(sig) else out.real, twin

@@ -110,9 +110,9 @@ def photon_scan(env: LinkConfig, grid: list[float], h_tx, h_rx,
 
     One chain runs, at the first point n0. The chain is homogeneous in
     amplitude: both converters load their full scale from the signal, and
-    the filters and the loss are linear. So at n = s * n0 the residual and
-    both converter noises are the first point's times s, while tau_hat,
-    c0_sq and isi_sum stay; each point's rate is the closed form at those.
+    the filters are linear. So at n = s * n0 the residual and both converter
+    noises are the first point's times s, while tau_hat, c0_sq and isi_sum
+    stay; each point's rate is the closed form at those.
     Returns the argmax record and the full curve. The grid must be
     non-empty, positive, finite and sorted ascending.
     """
@@ -128,8 +128,8 @@ def photon_scan(env: LinkConfig, grid: list[float], h_tx, h_rx,
         point = {"skr_bits_per_symbol": secure_key_rate(inputs), "tau": est.tau_hat,
                  "n_ex": inputs.excess_photons, "mean_photon": n,
                  "isi_sum": result.isi.isi_sum, "c0_sq": result.isi.c0_sq,
-                 "dac_noise": result.dac_report.noise_power * s,
-                 "adc_noise": result.adc_report.noise_power * s}
+                 "dac_noise": result.dac_report * s,
+                 "adc_noise": result.adc_report * s}
         curve.append({"n_photon": n, "skr_bits_per_symbol": point["skr_bits_per_symbol"],
                       "detail": point})
     best = max(curve, key=lambda row: row["skr_bits_per_symbol"])
@@ -378,15 +378,22 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(_to_json(manifest, sort_keys=True) + "\n")
     written.append(manifest_path)
     return written
 
 
 def save_records(records: list[RunRecord], path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps([_jsonable(asdict(r)) for r in records], indent=2) + "\n")
+    path.write_text(_to_json([_jsonable(asdict(r)) for r in records]) + "\n")
     return path
+
+
+def _to_json(obj, sort_keys: bool = False) -> str:
+    """The one JSON writer of ``records.json``, ``manifest.json`` and the
+    CLI's summaries: strict (RFC 8259), so a NaN or infinity raises
+    ``ValueError``."""
+    return json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
 
 
 def write_trace_csv(trace, path: str | Path) -> Path:

@@ -15,7 +15,7 @@ import numpy as np
 from . import dsp
 from .dsp import FirFilter
 from .keyrate import DEFAULT_BETA, SkrInputs
-from .quantization import QuantizationReport, QuantizerSpec, _mean_square, _rail_dot, convert
+from .quantization import QuantizerSpec, _mean_square, _rail_dot, convert
 # looked up here by perfbench/tracing.py only; the chain calls ``convert``
 # and takes the ADC's noise with ``_mean_square`` (ROADMAP item 3)
 from .quantization import clip_fraction, full_scale, measure_noise, quantize  # noqa: F401
@@ -53,9 +53,9 @@ class LinkConfig:
     excess noise at Bob's input, after the fiber loss. Noise stated at the
     channel input enters as that value times ``channel_transmittance``.
     The transmittance must be a normal float, at least ``MIN_TRANSMITTANCE``
-    (a loss of about 3077 dB: 15,382 km at 0.2 dB/km). Below it the
-    transmittance loses precision, and past about 3233 dB it is zero, which
-    leaves the ADC no signal to load its full scale from.
+    (a loss of about 3077 dB: 15,382 km at 0.2 dB/km), the key rate's floor:
+    below it the transmittance loses precision, and past about 3233 dB it is
+    zero, which the key rate refuses.
     """
 
     distance_km: float = 100.0
@@ -173,15 +173,15 @@ class ParameterEstimate:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Aligned symbols plus the per-converter reports and the ISI profile.
-
-    Both reports are None when the chain ran with ``reports=False``.
+    """Aligned symbols, the ISI profile and each converter's noise power in
+    photons: the DAC's at its output, the ADC's at Bob's plane, 0.0 for a
+    bypassed converter, and None when the chain ran with ``reports=False``.
     """
 
     tx_symbols: np.ndarray
     rx_symbols: np.ndarray
-    dac_report: QuantizationReport | None
-    adc_report: QuantizationReport | None
+    dac_report: float | None
+    adc_report: float | None
     isi: IsiProfile
 
 
@@ -258,38 +258,38 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     """Execute the full chain and return aligned tx/rx symbol pairs.
 
     Stages: symbols -> tx FIR at sps samples per symbol -> DAC -> LPF ->
-    sqrt(tau_ch) loss -> ADC -> rx FIR. The effective response and the
-    transient margin (``transient_margin``) come first, so a block too
-    short for the filters fails before any signal work. The tx FIR is
+    ADC -> rx FIR. The effective response and the transient margin
+    (``transient_margin``) come first, so a block too short for the filters
+    fails before any signal work. The tx FIR is
     ``dsp.interpolate``, which never builds the zero-stuffed samples: short
     tap rows (the 11-tap filter) filter the symbols' rails row by row, and
     long ones (the 1001-tap reference) run one full-rate overlap-save over
     the symbol spectrum tiled ``sps`` times. The LPF is filtered full-length
     by ``dsp.convolve``, one overlap-save pass framed for the LPF and the rx
-    FIR together, with the channel loss sqrt(tau_ch) as its gain: the loss
-    scales the LPF's spectrum, which is computed once per tap vector, so no
-    pass over the signal applies it. The rx FIR runs through
-    ``dsp.decimate``, evaluated only at the ``num_symbols`` symbol-spaced
-    outputs from the response peak on. Each stage's input is released once
-    the next stage has it.
+    FIR together. The rx FIR runs through ``dsp.decimate``, evaluated only
+    at the ``num_symbols`` symbol-spaced outputs from the response peak on.
+    Each stage's input is released once the next stage has it.
+    The channel loss comes last: the ADC loads its full scale from its own
+    input and every other stage after the DAC is linear, so the chain runs
+    loss-free and then scales the ADC's noise by tau_ch and the kept rx
+    symbols by sqrt(tau_ch); no DSP stage knows the channel.
     Each converter is one ``quantization.convert`` call: its full scale is
     frozen from its unquantized input, and it quantizes in one blocked
     pass. With reports the DAC's call also leaves its error in its input,
-    which the chain gives up, and returns the DAC report: the mean square
-    of that error at the DAC plane. The ADC converts without a report; its
-    noise is the mean square of rx - Y over the kept symbols, where Y is
-    the ADC-bypassed twin of rx, which the LPF's pass forms from its own
-    frame transforms through the combined LPF and rx response, so the ADC's
-    error is never formed or filtered.
-    A bypassed converter reports zero. Edge symbols inside the filter
-    transient are trimmed. Non-finite received symbols raise ``ValueError``.
+    which the chain gives up, and returns the DAC's noise: the mean square
+    of that error at the DAC plane. The ADC converts without its noise,
+    which is the mean square of rx - Y over the kept symbols, where Y is the
+    ADC-bypassed twin of rx that the LPF's pass forms from its own frame
+    transforms through the combined LPF and rx response, so the ADC's error
+    is never formed or filtered. Edge symbols inside the filter transient
+    are trimmed. Non-finite received symbols raise ``ValueError``.
 
-    With ``reports=False`` both reports are None, and the chain skips the
-    work only they need: the DAC's error and its mean square, and the twin
-    and its mean square. The LPF's pass keeps its framing, the converters
-    still load their full scales and quantize, and ``decimate`` filters
-    each signal on its own, so the symbols and the ISI profile are the same
-    bits as with reports.
+    With ``reports=False`` both noise powers are None, and the chain skips
+    the work only they need: the DAC's error and its mean square, and the
+    twin and its mean square. The LPF's pass keeps its framing, the
+    converters still load their full scales and quantize, and ``decimate``
+    filters each signal on its own, so the symbols and the ISI profile are
+    the same bits as with reports.
     """
     if not mean_photon > 0:
         raise ValueError(f"mean_photon must be positive, got {mean_photon}")
@@ -300,8 +300,7 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     # convolution holds at least num_symbols * sps samples
     margin = transient_margin(config, len(h_tx), len(h_rx))
     sl = slice(margin, config.num_symbols - margin)
-    bypassed = QuantizationReport(noise_power=0.0)
-    dac_report = adc_report = bypassed if reports else None
+    dac_report = adc_report = 0.0 if reports else None
 
     symbols = dsp.generate_symbols(config.num_symbols, mean_photon, config.seed)
     shaped = dsp.interpolate(symbols, h_tx.taps, sps)
@@ -316,23 +315,25 @@ def run_chain(config: LinkConfig, h_tx: FirFilter, h_rx: FirFilter,
     # with reports, the ADC-bypassed twin of rx at the kept symbols comes
     # from the LPF's own transforms
     twin_count = sl.stop - sl.start if reports and config.adc is not None else 0
-    attenuated, twin = dsp.convolve(after_dac, lpf, np.sqrt(config.channel_transmittance),
-                                    h_rx.taps, sps, isi.delay_index + margin * sps,
-                                    twin_count)
+    filtered, twin = dsp.convolve(after_dac, lpf, h_rx.taps, sps,
+                                  isi.delay_index + margin * sps, twin_count)
     del after_dac
 
     if config.adc is not None:
-        after_adc, _ = convert(attenuated, config.adc)
+        after_adc, _ = convert(filtered, config.adc)
     else:
-        after_adc = attenuated
-    del attenuated
+        after_adc = filtered
+    del filtered
     rx = dsp.decimate(after_adc, h_rx.taps, sps, isi.delay_index, config.num_symbols)
     del after_adc
     if not np.all(np.isfinite(rx)):
         raise ValueError("chain output contains non-finite samples")
+    rx_symbols = rx[sl]
+    tau_ch = config.channel_transmittance
     if twin_count:
-        adc_report = QuantizationReport(_mean_square(twin - rx[sl]))
-    return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx[sl],
+        adc_report = tau_ch * _mean_square(twin - rx_symbols)
+    rx_symbols *= np.sqrt(tau_ch)
+    return ChainResult(tx_symbols=symbols[sl], rx_symbols=rx_symbols,
                        dac_report=dac_report, adc_report=adc_report, isi=isi)
 
 
@@ -356,12 +357,12 @@ def estimate_parameters(tx_symbols: np.ndarray,
 
 
 def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,
-                    dac_report: QuantizationReport,
-                    adc_report: QuantizationReport) -> NoiseBudget:
+                    dac_report: float, adc_report: float) -> NoiseBudget:
     """Form the four-term excess-noise sum for one chain realization.
 
-    n_ex = n_ch + tau_ch * n * isi_sum + tau_ch * n_d + n_a, with the DAC
-    term attenuated by the channel and the remaining terms output-referred.
+    n_ex = n_ch + tau_ch * n * isi_sum + tau_ch * n_d + n_a, with n_d and
+    n_a the DAC and ADC noise powers of a ``ChainResult``: the DAC term is
+    attenuated by the channel and the remaining terms are output-referred.
 
     The sum treats the DAC and ADC errors as additive noise independent of
     the signal and of each other (Widrow & Kollar's conditions), which
@@ -374,8 +375,8 @@ def assemble_budget(config: LinkConfig, isi: IsiProfile, mean_photon: float,
     return NoiseBudget(
         channel=config.channel_excess_photons,
         isi=tau_ch * mean_photon * isi.isi_sum,
-        dac=tau_ch * dac_report.noise_power,
-        adc=adc_report.noise_power,
+        dac=tau_ch * dac_report,
+        adc=adc_report,
         transmittance=isi.c0_sq * tau_ch,
     )
 

@@ -4,8 +4,8 @@ Signals are plain numpy arrays, real or complex. The full-scale amplitude
 is loaded from the signal itself, A = kappa * sigma with sigma the pooled
 RMS of the real rails, read in one ``_mean_square`` pass. The chain runs
 each converter as one ``convert`` call: that load, then one blocked pass
-that quantizes and, for a report, leaves the signed error x - q in the
-spent rails, whose mean square is the report's noise power.
+that quantizes and, asked for the noise, leaves the signed error x - q in
+the spent rails, whose mean square is the noise power, a plain float.
 ``full_scale`` and ``quantize`` are the same steps one at a time;
 ``measure_noise`` compares against a kept input, and ``clip_fraction``
 counts the rails at or beyond the full scale.
@@ -47,18 +47,6 @@ class QuantizerSpec:
     def step(self, full_scale: float) -> float:
         """Quantization step Delta = 2A / 2^b."""
         return 2.0 * full_scale / (1 << self.bits)
-
-
-@dataclass(frozen=True)
-class QuantizationReport:
-    """Measured quantizer noise: noise_power is E[|y_q - y_ref|^2] per
-    complex sample in photon-number units (both rails summed)."""
-
-    noise_power: float
-
-    def __post_init__(self):
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be non-negative")
 
 
 # rails per block of the converter pass: a block's input and output (256 KB
@@ -115,28 +103,27 @@ def quantize(sig: np.ndarray, spec: QuantizerSpec, full_scale: float) -> np.ndar
 
 
 def convert(sig: np.ndarray, spec: QuantizerSpec,
-            reports: bool = False) -> tuple[np.ndarray, QuantizationReport | None]:
+            reports: bool = False) -> tuple[np.ndarray, float | None]:
     """One converter in one pass over blocks of rails: load the full scale
     from ``sig``, quantize, and with ``reports`` measure the noise.
 
-    Returns ``(quantized, report)``. The full scale is
+    Returns ``(quantized, noise_power)``. The full scale is
     ``full_scale(sig, spec)``, one ``_mean_square`` read of the rails, and
     the output is ``quantize(sig, spec, A)`` bit for bit.
-    Without ``reports`` the report is None and ``sig`` is left as it is.
-    With it, each rail x is overwritten with its signed error x - q while
-    its block is in cache, and the report's noise power is the mean square
-    of those errors per sample of ``sig``. The rails are ``sig`` itself for
-    a float64 or a contiguous complex128 signal, which the caller gives up;
-    for any other signal they are a copy, and ``sig`` is left as it is.
-    Besides the output and that copy, the pass allocates less than one
-    block.
+    Without ``reports`` the noise power is None and ``sig`` is left as it
+    is. With it, each rail x is overwritten with its signed error x - q
+    while its block is in cache, and the noise power is E|x - q|^2 per
+    sample of ``sig`` with both rails summed. The rails are ``sig`` itself
+    for a float64 or a contiguous complex128 signal, which the caller gives
+    up; for any other signal they are a copy, and ``sig`` is left as it is.
+    Besides the output and that copy, the pass allocates less than one block.
     """
     if len(sig) == 0:
         raise ValueError("cannot quantize an empty signal")
     x = _rails(sig)
     out = np.empty(len(sig), dtype=complex if np.iscomplexobj(sig) else float)
     _quantize_blocks(x, out.view(float), spec, _load(x, spec), reports)
-    return out, (QuantizationReport(_rail_dot(x, x) / len(sig)) if reports else None)
+    return out, (_rail_dot(x, x) / len(sig) if reports else None)
 
 
 def _quantize_blocks(rails: np.ndarray, out: np.ndarray, spec: QuantizerSpec,

@@ -238,8 +238,7 @@ def reference_photon_scan(env, grid, h_tx, h_rx, beta: float) -> tuple[dict, lis
         point = {"skr_bits_per_symbol": secure_key_rate(inputs), "tau": est.tau_hat,
                  "n_ex": inputs.excess_photons, "mean_photon": n,
                  "isi_sum": result.isi.isi_sum, "c0_sq": result.isi.c0_sq,
-                 "dac_noise": result.dac_report.noise_power,
-                 "adc_noise": result.adc_report.noise_power}
+                 "dac_noise": result.dac_report, "adc_noise": result.adc_report}
         curve.append({"n_photon": n, "skr_bits_per_symbol": point["skr_bits_per_symbol"],
                       "detail": point})
     return max(curve, key=lambda row: row["skr_bits_per_symbol"]), curve

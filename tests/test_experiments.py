@@ -39,6 +39,14 @@ def _tiny_optimizer(**overrides):
     return OptimizerConfig(**defaults)
 
 
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which are
+    not JSON (RFC 8259)."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
@@ -495,15 +503,38 @@ class TestReport:
         assert (dir_a / "bits-sweep.csv").read_bytes() == \
             (dir_b / "bits-sweep.csv").read_bytes()
 
-    def test_records_round_trip(self, tmp_path):
-        spec = SweepSpec(kind="bits-sweep", bits=[10], env=_tiny_env(),
-                         mode="unoptimized", photon_grid=[2.0],
-                         optimizer=_tiny_optimizer())
+    @pytest.mark.parametrize("kind", experiments.SWEEP_KINDS)
+    def test_records_round_trip(self, tmp_path, kind):
+        # every sweep kind, optimized points included: report from the saved
+        # and reloaded records writes the same bytes as report from the
+        # records in memory, and every JSON file is strict
+        spec = SweepSpec(kind=kind, bits=[6, 10], taps=[11], distances_km=[10.0, 30.0],
+                         photon_grid=[1.0, 2.0, 4.0], env=_tiny_env(),
+                         mode="unoptimized" if kind == "photon-scan" else "both",
+                         reference=ReferencePoint(ref_taps=41, ref_bits=16),
+                         optimizer=_tiny_optimizer(iterations=1))
         records = run_sweep(spec)
         path = save_records(records, tmp_path / "records.json")
         loaded = load_records(path)
-        assert loaded[0].outputs == records[0].outputs
-        assert loaded[0].kind == records[0].kind
+        assert loaded == records
+        direct = report(records, tmp_path / "direct")
+        again = report(loaded, tmp_path / "again")
+        assert [p.name for p in direct] == [p.name for p in again]
+        for one, two in zip(direct, again):
+            assert one.read_bytes() == two.read_bytes(), one.name
+        _strict_json(path.read_text())
+        _strict_json((tmp_path / "again" / "manifest.json").read_text())
+
+    def test_writer_refuses_non_finite_numbers(self, tmp_path):
+        # json's default writes NaN and Infinity, which strict parsers refuse
+        record = experiments.RunRecord(kind="photon-scan", config={"x": [float("nan")]},
+                                       outputs={"n_photon": 1.0,
+                                                "skr_bits_per_symbol": 0.5},
+                                       seed=1, wall_time_s=0.1)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_records([record], tmp_path / "records.json")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report([record], tmp_path / "out")
 
     def test_manifest_lists_configs_and_version(self, tmp_path):
         spec = SweepSpec(kind="photon-scan", photon_grid=[1.0, 2.0],
@@ -654,7 +685,7 @@ class TestChecksAtLoad:
 class TestCli:
     def test_defaults_command(self, capsys):
         assert cli.main(["defaults"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["beta"] == 0.90
 
     def test_simulate_command(self, tmp_path, capsys):
@@ -663,7 +694,7 @@ class TestCli:
                                    "tx_len": 11, "rx_len": 21}))
         assert cli.main(["simulate", "--config", str(cfg),
                          "--mean-photon", "2.0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert "budget" in payload and "skr_bits_per_symbol" in payload
 
     @pytest.mark.parametrize("flag,value,name", [
@@ -1080,9 +1111,18 @@ class TestCli:
            "outputs": {"taps": 41, "bits": 8, "mode": "both", "skr_bits_per_symbol": 0.5,
                        "gap": 0.1}}],
          "record 0.outputs.mode: expected 'unoptimized' or 'optimized', got 'both'"),
+        # the manifest copies each config, so a NaN or an infinity there,
+        # however deeply nested, would make it not JSON
+        ([{"kind": "photon-scan", "config": {"x": float("nan")}, "seed": 1,
+           "wall_time_s": 0.1, "outputs": {"n_photon": 1.0, "skr_bits_per_symbol": 0.5}}],
+         "record 0.config.x: expected a finite number, got nan"),
+        ([{"kind": "photon-scan", "seed": 1, "wall_time_s": 0.1,
+           "config": {"env": {"grid": [1, {"y": float("-inf")}]}, "ok": [True, "s", None]},
+           "outputs": {"n_photon": 1.0, "skr_bits_per_symbol": 0.5}}],
+         "record 0.config.env.grid[1].y: expected a finite number, got -inf"),
     ], ids=["unknown_key", "not_a_list", "missing_column", "unknown_kind", "outputs_list",
             "NaN", "Infinity", "string", "list", "bool", "null", "mode_comma_newline",
-            "mode_both"])
+            "mode_both", "config_NaN", "config_nested_Infinity"])
     def test_malformed_records_are_config_error(self, tmp_path, capsys, records, message):
         path = tmp_path / "records.json"
         path.write_text(json.dumps(records))
@@ -1227,9 +1267,10 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert cli.main(["sweep", "--spec", str(spec),
                          "--out-dir", str(out_dir)]) == 0
-        capsys.readouterr()
+        _strict_json(capsys.readouterr().out)
         assert cli.main(["report", "--records", str(out_dir / "records.json"),
                          "--out-dir", str(tmp_path / "again")]) == 0
+        _strict_json(capsys.readouterr().out)
         assert (out_dir / "bits-sweep.csv").read_bytes() == \
             (tmp_path / "again" / "bits-sweep.csv").read_bytes()
 
